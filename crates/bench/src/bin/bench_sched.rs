@@ -367,10 +367,10 @@ fn loadgen_kernel() -> (f64, f64, f64, f64) {
     )
 }
 
-/// ns per warm `get` on a pre-populated 8-way [`ShardedDiskCache`] —
-/// the lock-striped lookup the serve warm path rides. A regression here
-/// means the striping (or the per-shard in-memory index) picked up a
-/// serialization point.
+/// ns per warm `get` on a pre-populated 8-way
+/// [`treegion_eval::ShardedDiskCache`] — the lock-striped lookup the
+/// serve warm path rides. A regression here means the striping (or the
+/// per-shard in-memory index) picked up a serialization point.
 fn cache_shard_probe_kernel(reps: usize, iters: usize) -> f64 {
     use treegion_eval::ShardedDiskCache;
     let dir = std::env::temp_dir().join(format!("tgc-bench-shardprobe-{}", std::process::id()));

@@ -1,12 +1,12 @@
 //! Fault containment metadata: retry policies and [`ContainmentEvent`]s.
 //!
-//! PR 1 gave the pipeline *structured* failure handling — verifier
-//! rejections and budget trips degrade through the fallback chain and are
-//! recorded as [`crate::DegradationEvent`]s. This module adds the
-//! vocabulary for the *unstructured* failures that layer cannot see:
-//! panics and wall-clock deadline trips, contained at the harness-cell
-//! level by the evaluation runner (`treegion-eval`) and at the region
-//! level by `schedule_function_robust`.
+//! The pipeline's *structured* failure handling degrades verifier
+//! rejections and budget trips through the fallback chain and records
+//! them as [`crate::DegradationEvent`]s. This module adds the vocabulary
+//! for the *unstructured* failures that layer cannot see: panics and
+//! wall-clock deadline trips, contained at the harness-cell level by the
+//! evaluation runner (`treegion-eval`) and at the region level by the
+//! robust chain behind [`crate::Pipeline::run_set`].
 //!
 //! A [`ContainmentEvent`] records one contained incident — which scope
 //! (harness cell or region) failed, on which attempt, why

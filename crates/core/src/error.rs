@@ -2,9 +2,9 @@
 //!
 //! The seed scheduler treated every internal failure as a `panic!`: a
 //! verifier rejection or a watchdog trip aborted the whole evaluation. This
-//! module introduces the error hierarchy used by the fallible pipeline
-//! entry points (`try_lower_region`, `try_schedule_region`) and by the
-//! degradation chain in `treegion-eval`:
+//! module introduces the error hierarchy used by the fallible kernels
+//! (`try_lower_region`, `try_schedule_with_ddg`) and by the robust
+//! chain behind `Pipeline::run_set`:
 //!
 //! * [`SchedFailure`] — why one region could not be scheduled (verifier
 //!   rejection, or a resource budget exceeded).

@@ -416,7 +416,8 @@ mod tests {
     use super::*;
     use crate::form_treegions;
     use crate::lower::lower_region;
-    use crate::sched::{schedule_region, ScheduleOptions};
+    use crate::sched::ScheduleOptions;
+    use crate::testutil::schedule;
     use crate::verify_sched::verify_schedule;
     use treegion_analysis::{Cfg, Liveness};
     use treegion_ir::{Cond, Function, FunctionBuilder, Op};
@@ -478,8 +479,9 @@ mod tests {
                     &crate::Budgets::UNLIMITED,
                 )
                 .expect("corrupted graph still schedules")
+                .0
             } else {
-                schedule_region(&lr, &m, &opts)
+                schedule(&lr, &m, &opts)
             };
             if !class.is_pre_schedule() {
                 assert!(
@@ -513,8 +515,9 @@ mod tests {
                     &crate::Budgets::UNLIMITED,
                 )
                 .unwrap()
+                .0
             } else {
-                schedule_region(&lr, &m, &opts)
+                schedule(&lr, &m, &opts)
             };
             if !class.is_pre_schedule() {
                 assert!(inj.corrupt_post(class, &mut lr, &m, &mut sched));
@@ -530,7 +533,7 @@ mod tests {
         let m = treegion_machine::MachineModel::model_4u();
         let run = |seed: u64| -> Vec<Vec<usize>> {
             let mut lr = lowered_entry(&f);
-            let mut sched = schedule_region(&lr, &m, &ScheduleOptions::default());
+            let mut sched = schedule(&lr, &m, &ScheduleOptions::default());
             let mut inj = FaultInjector::new(&FaultPlan::single(seed, FaultClass::OmitOp));
             assert!(inj.corrupt_post(FaultClass::OmitOp, &mut lr, &m, &mut sched));
             sched.cycles

@@ -49,12 +49,9 @@ pub use pipeline::{
     form_and_lower, FunctionRun, LoweredFunction, ModuleRun, Pipeline, RegionSchedule,
 };
 pub use region::{ExitEdge, Region, RegionId, RegionKind, RegionSet};
-#[allow(deprecated)]
-pub use robust::schedule_function_robust;
 pub use robust::{carve_bb, carve_slr, RegionOutcome, RobustOptions, RobustResult};
 pub use sched::{
-    last_sched_metrics, render_schedule, schedule_region, schedule_with_ddg, try_schedule_region,
-    try_schedule_with_ddg, SchedMetrics, Schedule, ScheduleOptions, TieBreak,
+    render_schedule, try_schedule_with_ddg, SchedMetrics, Schedule, ScheduleOptions, TieBreak,
 };
 #[cfg(debug_assertions)]
 pub use sched_ref::schedule_with_ddg_reference;
@@ -62,7 +59,24 @@ pub use verify_sched::{verify_schedule, ScheduleError, ScheduleErrorKind};
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use crate::{Budgets, Ddg, LoweredRegion, Schedule, ScheduleOptions};
     use treegion_ir::{BlockId, Function, FunctionBuilder, Op};
+    use treegion_machine::MachineModel;
+
+    /// Builds the DDG, schedules `lr` through the kernel with unlimited
+    /// budgets, and verifies the result — the one way in-crate tests get
+    /// a schedule.
+    pub(crate) fn schedule(
+        lr: &LoweredRegion,
+        m: &MachineModel,
+        opts: &ScheduleOptions,
+    ) -> Schedule {
+        let ddg = Ddg::build(lr, m);
+        let (s, _) = crate::try_schedule_with_ddg(lr, &ddg, m, opts, &Budgets::UNLIMITED)
+            .expect("scheduler failed to make progress");
+        crate::verify_schedule(lr, &ddg, m, &s).expect("scheduler produced an invalid schedule");
+        s
+    }
 
     /// The CFG of the paper's Figure 1:
     /// bb1 -> {bb2, bb8}; bb2 -> {bb3, bb4}; bb3 -> bb5; bb4 -> bb5;

@@ -2,35 +2,34 @@
 //! scheduling → verification → degradation, behind one instrumented
 //! entry point.
 //!
-//! The paper's Fig. 2/3 flow is one pipeline, but the repo historically
-//! drove it from three divergent stacks (the eval crate's ad-hoc
-//! helpers, the robust chain, and the CLI) plus a dozen figure binaries
-//! that re-wired the stages by hand. [`Pipeline`] is the single driver
-//! they all share now: it owns the stage order, threads a
+//! The paper's Fig. 2/3 flow is one pipeline, and [`Pipeline`] is the
+//! single driver every caller shares: it owns the stage order, threads a
 //! [`PassObserver`] through every stage, and exposes both the
-//! *infallible* staged kernels (for caching drivers that want to reuse
-//! intermediate artifacts) and the *robust* verifier-gated chain (the
-//! Primary→SLR→BB policy of [`crate::RobustOptions`]).
+//! *infallible* staged path (for caching drivers that reuse intermediate
+//! artifacts) and the *robust* verifier-gated chain (the Primary→SLR→BB
+//! policy of [`crate::RobustOptions`]). Both schedule a region the same
+//! way, through one crate-private loop (`schedule_stages`): build the
+//! DDG, list-schedule with [`crate::try_schedule_with_ddg`], and — when a
+//! finite GPR file livelocks — insert spill code and reschedule.
 //!
-//! Byte-identity contract: every method composes exactly the kernels the
-//! legacy call sites used (`lower_region`, `Ddg::build`,
-//! `schedule_with_ddg`, the robust chain), fans out across
-//! `treegion_par` with order-preserving merges, and adds only observer
-//! bracketing — so outputs are bit-for-bit what the pre-pipeline stacks
-//! produced, at any job count.
+//! Byte-identity contract: per-region work fans out across
+//! `treegion_par` with order-preserving merges, and the observer only
+//! brackets stages, so outputs are bit-for-bit identical at any job
+//! count.
 
 use crate::ddg::Ddg;
-use crate::error::{Budgets, SchedFailure};
-use crate::error::{DegradationEvent, PipelineError};
+use crate::error::{Budgets, DegradationEvent, PipelineError, SchedFailure};
+use crate::fault::{FaultClass, FaultInjector};
 use crate::former::{FormOutcome, RegionFormer};
-use crate::lower::{lower_region, LoweredRegion};
+use crate::lower::{insert_spills, lower_region, LoweredRegion};
 use crate::observe::{PassObserver, Stage, StageScope, StageStats};
 use crate::region::RegionSet;
-use crate::robust::{run_robust, RobustOptions, RobustResult, MAX_SPILL_ROUNDS};
-use crate::sched::{schedule_with_ddg, try_schedule_with_ddg, Schedule};
+use crate::robust::{run_robust, RobustOptions, RobustResult};
+use crate::sched::{try_schedule_with_ddg, Schedule, ScheduleOptions};
+use std::borrow::Cow;
 use std::time::Instant;
 use treegion_analysis::{Cfg, Liveness};
-use treegion_ir::{BlockId, Function, Module};
+use treegion_ir::{BlockId, Function, Module, RegClass};
 use treegion_machine::MachineModel;
 
 /// A function's regions after lowering: the analysis artifacts plus one
@@ -95,7 +94,7 @@ impl ModuleRun {
 /// Stages 1–2 without a machine: formation and lowering are
 /// machine-independent, so caching drivers (which share one formation
 /// across heuristics and machines) drive the front half directly.
-/// Observer-bracketed exactly as [`Pipeline::form`] / [`Pipeline::lower`]
+/// Observer-bracketed exactly as [`Pipeline::form`] / [`Pipeline::lower_set`]
 /// — this *is* the driver's front half, not a bypass.
 pub fn form_and_lower(
     f: &Function,
@@ -178,6 +177,139 @@ fn stage_lower_one(
     lr
 }
 
+/// How many schedule→spill→reschedule rounds [`schedule_stages`] may run
+/// before the register-pressure failure is returned. Each round spills at
+/// least one victim, so pressure falls monotonically; the cap only bounds
+/// pathological regions where spilling cannot help (e.g. the overflow
+/// comes from one op's own definitions).
+const MAX_SPILL_ROUNDS: usize = 8;
+
+/// What [`schedule_stages`] produced for one region.
+pub(crate) struct StagedSchedule<'a> {
+    /// The scheduled region: the input, or its spill-rewritten copy.
+    pub(crate) lowered: Cow<'a, LoweredRegion>,
+    /// The true (uncorrupted) dependence graph of `lowered`.
+    pub(crate) ddg: Ddg,
+    /// The accepted schedule.
+    pub(crate) schedule: Schedule,
+}
+
+/// Stages 3–4 of one region — the single DDG → list-schedule → spill
+/// loop behind both [`Pipeline::schedule_lowered`] and the robust chain.
+///
+/// Each round brackets [`Stage::DdgBuild`] and [`Stage::ListSched`] with
+/// observer hooks (`stage_exit` fires only when the stage succeeds) and
+/// folds the scheduler's [`crate::SchedMetrics`] into the list-sched
+/// stats. A [`SchedFailure::RegisterPressure`] livelock in the GPR class
+/// is answered by [`insert_spills`] and another round, up to
+/// `MAX_SPILL_ROUNDS` times; each retry rebuilds the DDG (the spill and
+/// reload ops add real edges), so profiles attribute the extra work
+/// honestly. Pred/Btr pressure is unspillable and is returned as is.
+/// Spill code counts against `budgets.max_region_ops` like any other op.
+///
+/// `pre_fault`, when present, corrupts a copy of the first round's DDG
+/// (and the scheduler options) before scheduling: the injector draws one
+/// fault per region, and a pressure retry must not replay it against the
+/// rewritten op list. The returned DDG is always the true one.
+pub(crate) fn schedule_stages<'a>(
+    lr: &'a LoweredRegion,
+    m: &MachineModel,
+    opts: &ScheduleOptions,
+    budgets: &Budgets,
+    scope: StageScope<'_>,
+    obs: &dyn PassObserver,
+    mut pre_fault: Option<(&mut FaultInjector, FaultClass)>,
+) -> Result<StagedSchedule<'a>, SchedFailure> {
+    let mut lr = Cow::Borrowed(lr);
+    let mut sched_opts = *opts;
+    let mut spills: u64 = 0;
+    let mut rounds = 0usize;
+    loop {
+        obs.stage_enter(Stage::DdgBuild, scope);
+        let t = Instant::now();
+        let ddg = Ddg::build(&lr, m);
+        obs.stage_exit(
+            Stage::DdgBuild,
+            scope,
+            t.elapsed(),
+            StageStats {
+                regions: 1,
+                ops: lr.num_ops(),
+                edges: ddg.edges().len(),
+                ..StageStats::default()
+            },
+        );
+
+        obs.stage_enter(Stage::ListSched, scope);
+        let t = Instant::now();
+        let result = match pre_fault.as_mut() {
+            Some((inj, class)) if rounds == 0 => {
+                let mut corrupted = ddg.clone();
+                inj.corrupt_pre(*class, &mut corrupted, &mut sched_opts);
+                try_schedule_with_ddg(&lr, &corrupted, m, &sched_opts, budgets)
+            }
+            _ => try_schedule_with_ddg(&lr, &ddg, m, &sched_opts, budgets),
+        };
+        match result {
+            Ok((schedule, metrics)) => {
+                obs.stage_exit(
+                    Stage::ListSched,
+                    scope,
+                    t.elapsed(),
+                    StageStats {
+                        regions: 1,
+                        ops: lr.num_ops(),
+                        edges: ddg.edges().len(),
+                        hazard_hits: metrics.hazard_hits,
+                        deferral_parks: metrics.deferral_parks,
+                        pressure_peak: metrics.pressure_peak.iter().copied().max().unwrap_or(0),
+                        pressure_parks: metrics.pressure_parks,
+                        spills,
+                    },
+                );
+                return Ok(StagedSchedule {
+                    lowered: lr,
+                    ddg,
+                    schedule,
+                });
+            }
+            Err(SchedFailure::RegisterPressure {
+                class: RegClass::Gpr,
+                live,
+                cap,
+            }) if rounds < MAX_SPILL_ROUNDS => {
+                // Spill enough victims to clear the reported overflow in
+                // one round if the longest ranges are the culprits. The
+                // parking scheduler livelocks at `live <= cap` (only
+                // live-ins can exceed the file), so the overflow estimate
+                // alone is almost always 1; escalate with the round count
+                // so repeated livelocks converge instead of shaving one
+                // range per rebuild.
+                let excess = ((live.saturating_sub(cap) as usize) + 1).max(rounds + 1);
+                let Some((spilled, n)) = insert_spills(&lr, excess) else {
+                    return Err(SchedFailure::RegisterPressure {
+                        class: RegClass::Gpr,
+                        live,
+                        cap,
+                    });
+                };
+                if let Some(max) = budgets.max_region_ops {
+                    if spilled.num_ops() > max {
+                        return Err(SchedFailure::OpBudgetExceeded {
+                            ops: spilled.num_ops(),
+                            budget: max,
+                        });
+                    }
+                }
+                lr = Cow::Owned(spilled);
+                spills += n as u64;
+                rounds += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// The unified formation → schedule → verify driver.
 ///
 /// Construct one per (machine, options) pair — it is two words plus the
@@ -226,12 +358,6 @@ impl<'m> Pipeline<'m> {
         stage_form(f, former, obs)
     }
 
-    /// Stage 2 — lowering every region of a formed function (fans out
-    /// across the worker budget; results in region order).
-    pub fn lower(&self, formed: &FormOutcome, obs: &dyn PassObserver) -> LoweredFunction {
-        self.lower_set(&formed.function, &formed.regions, Some(&formed.origin), obs)
-    }
-
     /// Stage 2 over an explicit partition (`origin` as for
     /// [`crate::lower_region`]; `None` means identity).
     pub fn lower_set(
@@ -245,157 +371,47 @@ impl<'m> Pipeline<'m> {
     }
 
     /// Stages 3–4 — DDG construction and list scheduling of one lowered
-    /// region, observer-bracketed per stage. Byte-identical to the legacy
-    /// `schedule_region` kernel (which composes the same two stages).
-    pub fn schedule_lowered(
-        &self,
-        lr: &LoweredRegion,
-        scope: StageScope<'_>,
-        obs: &dyn PassObserver,
-    ) -> Schedule {
-        obs.stage_enter(Stage::DdgBuild, scope);
-        let t = Instant::now();
-        let ddg = Ddg::build(lr, self.machine);
-        obs.stage_exit(
-            Stage::DdgBuild,
-            scope,
-            t.elapsed(),
-            StageStats {
-                regions: 1,
-                ops: lr.num_ops(),
-                edges: ddg.edges().len(),
-                ..StageStats::default()
-            },
-        );
-        obs.stage_enter(Stage::ListSched, scope);
-        let t = Instant::now();
-        let schedule = schedule_with_ddg(lr, &ddg, self.machine, &self.options.sched);
-        // The scheduler published its automaton counters for this run on
-        // this thread just before returning; fold them into the stage
-        // bracket so profilers see them.
-        let metrics = crate::sched::last_sched_metrics();
-        obs.stage_exit(
-            Stage::ListSched,
-            scope,
-            t.elapsed(),
-            StageStats {
-                regions: 1,
-                ops: lr.num_ops(),
-                edges: ddg.edges().len(),
-                hazard_hits: metrics.hazard_hits,
-                deferral_parks: metrics.deferral_parks,
-                pressure_peak: metrics.pressure_peak.iter().copied().max().unwrap_or(0),
-                pressure_parks: metrics.pressure_parks,
-                ..StageStats::default()
-            },
-        );
-        schedule
-    }
-
-    /// Spill-aware stages 3–4: like [`Pipeline::schedule_lowered`], but
-    /// when the machine has a finite GPR file and the region livelocks on
-    /// register pressure, inserts spill code and reschedules — the same
-    /// escalating loop as the robust driver. Returns the (possibly
-    /// spill-rewritten) region with its schedule. Under unbounded
-    /// register files the loop body runs exactly once and the output is
-    /// byte-identical to [`Pipeline::schedule_lowered`].
+    /// region, observer-bracketed per stage. When the machine has a
+    /// finite GPR file and the region livelocks on register pressure,
+    /// spill code is inserted and the region rescheduled; the result then
+    /// carries the rewritten region ([`Cow::Owned`]). Otherwise — always
+    /// under unbounded files — the input is borrowed back unchanged.
     ///
     /// # Panics
     ///
     /// Like the rest of the infallible path, panics when the region
-    /// cannot be scheduled — here additionally when spilling cannot
-    /// relieve the pressure (non-GPR class, no spillable range left, or
-    /// [`MAX_SPILL_ROUNDS`] exhausted). Callers needing a structured
-    /// failure use the robust chain instead.
-    pub fn schedule_lowered_spilled(
+    /// cannot be scheduled: a dependence cycle, or register pressure that
+    /// spilling cannot relieve. Callers needing a structured failure use
+    /// the robust chain ([`Pipeline::run_set`]) instead.
+    pub fn schedule_lowered<'a>(
         &self,
-        mut lr: LoweredRegion,
+        lr: &'a LoweredRegion,
         scope: StageScope<'_>,
         obs: &dyn PassObserver,
-    ) -> (LoweredRegion, Schedule) {
-        let mut spills_inserted: u64 = 0;
-        let mut rounds = 0usize;
-        loop {
-            obs.stage_enter(Stage::DdgBuild, scope);
-            let t = Instant::now();
-            let ddg = Ddg::build(&lr, self.machine);
-            obs.stage_exit(
-                Stage::DdgBuild,
-                scope,
-                t.elapsed(),
-                StageStats {
-                    regions: 1,
-                    ops: lr.num_ops(),
-                    edges: ddg.edges().len(),
-                    ..StageStats::default()
-                },
-            );
-            obs.stage_enter(Stage::ListSched, scope);
-            let t = Instant::now();
-            let result = try_schedule_with_ddg(
-                &lr,
-                &ddg,
-                self.machine,
-                &self.options.sched,
-                &Budgets::UNLIMITED,
-            );
-            match result {
-                Ok(schedule) => {
-                    #[cfg(debug_assertions)]
-                    crate::verify_sched::verify_schedule(&lr, &ddg, self.machine, &schedule)
-                        .expect("scheduler produced an invalid schedule");
-                    let metrics = crate::sched::last_sched_metrics();
-                    obs.stage_exit(
-                        Stage::ListSched,
-                        scope,
-                        t.elapsed(),
-                        StageStats {
-                            regions: 1,
-                            ops: lr.num_ops(),
-                            edges: ddg.edges().len(),
-                            hazard_hits: metrics.hazard_hits,
-                            deferral_parks: metrics.deferral_parks,
-                            pressure_peak: metrics.pressure_peak.iter().copied().max().unwrap_or(0),
-                            pressure_parks: metrics.pressure_parks,
-                            spills: spills_inserted,
-                        },
-                    );
-                    return (lr, schedule);
-                }
-                Err(SchedFailure::RegisterPressure {
-                    class: rc,
-                    live: live_regs,
-                    cap,
-                }) if rc == treegion_ir::RegClass::Gpr && rounds < MAX_SPILL_ROUNDS => {
-                    // Same escalation as the robust chain: the parking
-                    // scheduler livelocks at `live <= cap`, so widen the
-                    // victim set with the round count.
-                    let excess = ((live_regs.saturating_sub(cap) as usize) + 1).max(rounds + 1);
-                    match crate::lower::insert_spills(&lr, excess) {
-                        Some((spilled, n)) => {
-                            lr = spilled;
-                            spills_inserted += n as u64;
-                            rounds += 1;
-                        }
-                        None => panic!(
-                            "register pressure unrecoverable by spilling: \
-                             {live_regs} live {rc} regs against a file of {cap}"
-                        ),
-                    }
-                }
-                Err(e) => panic!("scheduler failed to make progress: {e}"),
-            }
-        }
+    ) -> (Cow<'a, LoweredRegion>, Schedule) {
+        let out = schedule_stages(
+            lr,
+            self.machine,
+            &self.options.sched,
+            &Budgets::UNLIMITED,
+            scope,
+            obs,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("scheduler failed: {e}"));
+        // In debug builds, every schedule is independently re-verified —
+        // scheduler bugs become loud test failures instead of wrong numbers.
+        #[cfg(debug_assertions)]
+        crate::verify_sched::verify_schedule(&out.lowered, &out.ddg, self.machine, &out.schedule)
+            .expect("scheduler produced an invalid schedule");
+        (out.lowered, out.schedule)
     }
 
     /// Stages 2–4 over an explicit partition: lowers and schedules every
-    /// region (no verification, no degradation — the infallible path the
-    /// analytic evaluator and the VLIW compiler use). Regions that
-    /// livelock on GPR pressure under a finite register file are
-    /// spill-rewritten and rescheduled via
-    /// [`Pipeline::schedule_lowered_spilled`]; with the default unbounded
-    /// files the output is byte-identical to the historical path. Fans
-    /// out across the worker budget; results in region order.
+    /// region through [`Pipeline::schedule_lowered`] (no verification, no
+    /// degradation — the infallible path the analytic evaluator and the
+    /// VLIW compiler use). Fans out across the worker budget; results in
+    /// region order.
     pub fn schedule_set(
         &self,
         f: &Function,
@@ -412,7 +428,11 @@ impl<'m> Pipeline<'m> {
                 function: f.name(),
                 region: Some(idx),
             };
-            let (lowered, schedule) = self.schedule_lowered_spilled(lowered, scope, obs);
+            let (spilled, schedule) = self.schedule_lowered(&lowered, scope, obs);
+            let lowered = match spilled {
+                Cow::Owned(rewritten) => rewritten,
+                Cow::Borrowed(_) => lowered,
+            };
             RegionSchedule { lowered, schedule }
         })
     }
@@ -435,8 +455,7 @@ impl<'m> Pipeline<'m> {
 
     /// Runs the robust chain over an explicit partition: every region is
     /// lowered, scheduled, and verified, degrading Primary→SLR→BB per the
-    /// configured [`crate::FallbackPolicy`]. The canonical successor of
-    /// the old free `schedule_function_robust` entry points.
+    /// configured [`crate::FallbackPolicy`].
     ///
     /// # Errors
     ///
@@ -511,7 +530,6 @@ mod tests {
     use super::*;
     use crate::former::RegionConfig;
     use crate::observe::{EventLog, NullObserver, Profiler};
-    use crate::sched::{schedule_region, ScheduleOptions};
     use crate::{form_treegions, FaultPlan, TailDupLimits};
 
     fn model() -> MachineModel {
@@ -524,14 +542,14 @@ mod tests {
         let m = model();
         let p = Pipeline::new(&m);
         let (formed, scheds) = p.schedule_function(&f, &RegionConfig::Treegion, &NullObserver);
-        // Legacy: free formers + lower_region + schedule_region.
+        // By hand: free formers + lower_region + the scheduling kernel.
         let set = form_treegions(&f);
         let cfg = Cfg::new(&f);
         let live = Liveness::new(&f, &cfg);
         assert_eq!(formed.regions.len(), set.len());
         for (i, (r, rs)) in set.regions().iter().zip(&scheds).enumerate() {
             let lr = lower_region(&f, r, &live, None);
-            let s = schedule_region(&lr, &m, &ScheduleOptions::default());
+            let s = crate::testutil::schedule(&lr, &m, &ScheduleOptions::default());
             assert_eq!(rs.schedule.length(), s.length(), "region {i}");
             assert_eq!(
                 rs.schedule.estimated_time(&rs.lowered).to_bits(),

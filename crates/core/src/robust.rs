@@ -27,7 +27,6 @@
 //! *recovered* by clean fallback scheduling — the property the robustness
 //! tests assert end to end.
 
-use crate::ddg::Ddg;
 use crate::error::{
     Budgets, DegradationEvent, FallbackLevel, FallbackPolicy, PipelineError, SchedFailure,
     VerifyMode,
@@ -35,9 +34,11 @@ use crate::error::{
 use crate::fault::{FaultClass, FaultInjector, FaultPlan};
 use crate::lower::{try_lower_region, LoweredRegion};
 use crate::observe::{PassObserver, Stage, StageScope, StageStats};
+use crate::pipeline::schedule_stages;
 use crate::region::{Region, RegionKind, RegionSet};
-use crate::sched::{try_schedule_with_ddg, Schedule, ScheduleOptions};
+use crate::sched::{Schedule, ScheduleOptions};
 use crate::verify_sched::{verify_schedule, ScheduleError};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::time::Instant;
 use treegion_analysis::{Cfg, Liveness};
@@ -130,32 +131,6 @@ impl RobustResult {
         }
         set
     }
-}
-
-/// Deprecated free-function entry point to the robust chain.
-///
-/// This was one of two colliding `schedule_function_robust` entry points
-/// (the other lived in the eval crate and has been removed). The
-/// canonical driver is now [`crate::Pipeline`]: use
-/// [`crate::Pipeline::run_formed`] / [`crate::Pipeline::run_set`], which
-/// additionally thread [`PassObserver`] hooks through every stage.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] when one region fails at the primary level
-/// *and* at every fallback level the policy permits.
-#[deprecated(
-    since = "0.5.0",
-    note = "use Pipeline::run_formed / Pipeline::run_set; this shim runs unobserved"
-)]
-pub fn schedule_function_robust(
-    f: &Function,
-    set: &RegionSet,
-    origin_map: Option<&[BlockId]>,
-    m: &MachineModel,
-    opts: &RobustOptions,
-) -> Result<RobustResult, PipelineError> {
-    run_robust(f, set, origin_map, m, opts, &crate::observe::NullObserver)
 }
 
 /// Schedules every region of `set` over `f` with verification, budgets,
@@ -364,26 +339,15 @@ fn attempt_contained(
     })
 }
 
-/// How many schedule→spill→reschedule rounds a finite-register attempt
-/// may run before the failure is handed to the degradation ladder. Each
-/// round spills at least one victim, so pressure falls monotonically;
-/// the cap only bounds pathological regions where spilling cannot help
-/// (e.g. the overflow comes from one op's own definitions).
-pub(crate) const MAX_SPILL_ROUNDS: usize = 8;
-
 /// Lowers, (optionally fault-injects,) schedules, and verifies one region.
 ///
 /// Each stage is bracketed with [`PassObserver`] enter/exit hooks;
 /// `stage_exit` fires only when the stage succeeds (a failed attempt
-/// aborts mid-stage, and its partial time is not attributed).
-///
-/// On machines with a finite register file a [`SchedFailure::
-/// RegisterPressure`] livelock in the GPR class is not (yet) fatal: the
-/// region is rewritten by [`insert_spills`] and rescheduled, up to
-/// [`MAX_SPILL_ROUNDS`] times. Each retry rebuilds the DDG (the spill
-/// and reload ops add real edges), re-entering the DdgBuild/ListSched
-/// stages, so profiles attribute the extra work honestly. Pred/Btr
-/// pressure is unspillable and falls straight through to the ladder.
+/// aborts mid-stage, and its partial time is not attributed). DDG
+/// construction and list scheduling — including the spill rounds that
+/// answer a GPR-pressure livelock on a finite register file — run in
+/// the pipeline's one region-scheduling loop; only failures it cannot
+/// absorb reach the degradation ladder.
 #[allow(clippy::too_many_arguments)]
 fn attempt(
     f: &Function,
@@ -402,7 +366,7 @@ fn attempt(
     };
     obs.stage_enter(Stage::Lowering, scope);
     let t = Instant::now();
-    let mut lr = try_lower_region(f, region, live, origin_map, &opts.budgets)?;
+    let lr = try_lower_region(f, region, live, origin_map, &opts.budgets)?;
     obs.stage_exit(
         Stage::Lowering,
         scope,
@@ -416,100 +380,17 @@ fn attempt(
     );
 
     let class: Option<FaultClass> = injector.as_deref_mut().and_then(FaultInjector::choose);
-    let mut sched_opts = opts.sched;
-    let mut spills_inserted: u64 = 0;
-    let mut rounds = 0usize;
-    let (sched, true_ddg) = loop {
-        obs.stage_enter(Stage::DdgBuild, scope);
-        let t = Instant::now();
-        let true_ddg = Ddg::build(&lr, m);
-        obs.stage_exit(
-            Stage::DdgBuild,
-            scope,
-            t.elapsed(),
-            StageStats {
-                regions: 1,
-                ops: lr.num_ops(),
-                edges: true_ddg.edges().len(),
-                ..StageStats::default()
-            },
-        );
-
-        obs.stage_enter(Stage::ListSched, scope);
-        let t = Instant::now();
-        // Fault corruption applies to the first round only: the injector
-        // draws one fault per region, and a pressure retry must not
-        // replay it against the rewritten op list.
-        let result = match (injector.as_deref_mut(), class) {
-            (Some(inj), Some(c)) if c.is_pre_schedule() && rounds == 0 => {
-                let mut corrupted = true_ddg.clone();
-                inj.corrupt_pre(c, &mut corrupted, &mut sched_opts);
-                try_schedule_with_ddg(&lr, &corrupted, m, &sched_opts, &opts.budgets)
-            }
-            _ => try_schedule_with_ddg(&lr, &true_ddg, m, &sched_opts, &opts.budgets),
-        };
-        match result {
-            Ok(s) => {
-                obs.stage_exit(Stage::ListSched, scope, t.elapsed(), {
-                    // Fold in the scheduler's automaton counters
-                    // (published on this thread just before the schedule
-                    // call returned).
-                    let metrics = crate::sched::last_sched_metrics();
-                    StageStats {
-                        regions: 1,
-                        ops: lr.num_ops(),
-                        edges: true_ddg.edges().len(),
-                        hazard_hits: metrics.hazard_hits,
-                        deferral_parks: metrics.deferral_parks,
-                        pressure_peak: metrics.pressure_peak.iter().copied().max().unwrap_or(0),
-                        pressure_parks: metrics.pressure_parks,
-                        spills: spills_inserted,
-                    }
-                });
-                break (s, true_ddg);
-            }
-            Err(SchedFailure::RegisterPressure {
-                class: rc,
-                live: live_regs,
-                cap,
-            }) if rc == treegion_ir::RegClass::Gpr && rounds < MAX_SPILL_ROUNDS => {
-                // Spill enough victims to clear the reported overflow in
-                // one round if the longest ranges are the culprits. The
-                // parking scheduler livelocks at `live <= cap` (only
-                // live-ins can exceed the file), so the overflow estimate
-                // alone is almost always 1; escalate with the round count
-                // so repeated livelocks converge instead of shaving one
-                // range per rebuild.
-                let excess = ((live_regs.saturating_sub(cap) as usize) + 1).max(rounds + 1);
-                match crate::lower::insert_spills(&lr, excess) {
-                    Some((spilled, n)) => {
-                        // Spill code counts against the op budget like
-                        // any other lowered op.
-                        if let Some(max) = opts.budgets.max_region_ops {
-                            if spilled.num_ops() > max {
-                                return Err(SchedFailure::OpBudgetExceeded {
-                                    ops: spilled.num_ops(),
-                                    budget: max,
-                                });
-                            }
-                        }
-                        lr = spilled;
-                        spills_inserted += n as u64;
-                        rounds += 1;
-                    }
-                    None => {
-                        return Err(SchedFailure::RegisterPressure {
-                            class: rc,
-                            live: live_regs,
-                            cap,
-                        })
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    let pre_fault = match (injector.as_deref_mut(), class) {
+        (Some(inj), Some(c)) if c.is_pre_schedule() => Some((inj, c)),
+        _ => None,
     };
-    let mut sched = sched;
+    let staged = schedule_stages(&lr, m, &opts.sched, &opts.budgets, scope, obs, pre_fault)?;
+    let true_ddg = staged.ddg;
+    let mut sched = staged.schedule;
+    let mut lr = match staged.lowered {
+        Cow::Owned(spilled) => spilled,
+        Cow::Borrowed(_) => lr,
+    };
     if let (Some(inj), Some(c)) = (injector, class) {
         if !c.is_pre_schedule() {
             inj.corrupt_post(c, &mut lr, m, &mut sched);
@@ -640,6 +521,7 @@ pub fn carve_bb(region: &Region) -> Vec<Region> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ddg::Ddg;
     use crate::form_treegions;
     use crate::testutil::figure1_cfg;
     use treegion_ir::{FunctionBuilder, Op};
@@ -680,7 +562,7 @@ mod tests {
             .iter()
             .map(|reg| {
                 let lr = crate::lower_region(&f, reg, &live, None);
-                crate::schedule_region(&lr, &model(), &ScheduleOptions::default())
+                crate::testutil::schedule(&lr, &model(), &ScheduleOptions::default())
                     .estimated_time(&lr)
             })
             .sum();
@@ -752,7 +634,7 @@ mod tests {
             for o in &r.outcomes {
                 let lr = crate::lower_region(&f, &o.region, &live, None);
                 let ddg = Ddg::build(&lr, &m);
-                let s = crate::schedule_region(&lr, &m, &ScheduleOptions::default());
+                let s = crate::testutil::schedule(&lr, &m, &ScheduleOptions::default());
                 verify_schedule(&lr, &ddg, &m, &s).unwrap();
             }
         }

@@ -23,11 +23,9 @@ use treegion_ir::{Reg, RegClass};
 use treegion_machine::{MachineModel, OpClass};
 
 /// Resource-automaton and register-pressure counters of one scheduler
-/// run (see [`last_sched_metrics`]).
+/// run, returned beside the [`Schedule`] by [`try_schedule_with_ddg`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedMetrics {
-    /// Interned states of the machine's hazard automaton.
-    pub automaton_states: usize,
     /// Structural-hazard probe rejections (`go` returned `None`) while
     /// popping ready ops.
     pub hazard_hits: u64,
@@ -42,28 +40,6 @@ pub struct SchedMetrics {
     /// a finite register file (counted once per park, like
     /// `deferral_parks`). Always zero on unbounded machines.
     pub pressure_parks: u64,
-}
-
-thread_local! {
-    static LAST_METRICS: std::cell::Cell<SchedMetrics> =
-        const { std::cell::Cell::new(SchedMetrics {
-            automaton_states: 0,
-            hazard_hits: 0,
-            deferral_parks: 0,
-            pressure_peak: [0; 3],
-            pressure_parks: 0,
-        }) };
-}
-
-/// Counters of the most recent successful schedule call *on this thread*.
-///
-/// The scheduler's hot loop owns these numbers; the pipeline driver reads
-/// them immediately after `schedule_with_ddg` returns (stage brackets run
-/// on the worker thread that did the scheduling) and forwards them
-/// through the [`crate::PassObserver`] stage stats, which is how
-/// `--profile` and `tgc serve stats` report them.
-pub fn last_sched_metrics() -> SchedMetrics {
-    LAST_METRICS.with(|c| c.get())
 }
 
 /// How the list scheduler breaks ties between ops of equal heuristic
@@ -204,75 +180,15 @@ impl Schedule {
     }
 }
 
-/// Schedules a lowered region on machine `m` (Figure 3: build DDG, sort by
-/// heuristic, list schedule).
+/// Schedules a lowered region on machine `m` against a pre-built DDG —
+/// steps two and three of Figure 3 (heuristic sort, list scheduling).
+/// This is the one region-scheduling kernel: [`crate::Pipeline`] and the
+/// robust chain both drive it (with spill insertion and observer
+/// brackets around it), and the fault-injection harness calls it with a
+/// corrupted graph. It never panics on a malformed graph, and it does
+/// *not* self-verify (callers verify with [`crate::verify_schedule`]).
 ///
-/// # Panics
-///
-/// Panics if the scheduler cannot make progress (a dependence-graph cycle,
-/// which a correct DDG never contains), or if a finite register file on
-/// `m` is provably too small for the region (a
-/// [`SchedFailure::RegisterPressure`] livelock). The fallible pipeline
-/// uses [`try_schedule_region`] instead, and the robust pipeline
-/// additionally inserts spill code and retries before degrading.
-pub fn schedule_region(lr: &LoweredRegion, m: &MachineModel, opts: &ScheduleOptions) -> Schedule {
-    let ddg = Ddg::build(lr, m);
-    schedule_with_ddg(lr, &ddg, m, opts)
-}
-
-/// [`schedule_region`] with a pre-built DDG (lets callers reuse the graph
-/// across heuristics).
-///
-/// # Panics
-///
-/// Panics if the scheduler cannot make progress (see [`schedule_region`]).
-pub fn schedule_with_ddg(
-    lr: &LoweredRegion,
-    ddg: &Ddg,
-    m: &MachineModel,
-    opts: &ScheduleOptions,
-) -> Schedule {
-    let sched = try_schedule_with_ddg(lr, ddg, m, opts, &Budgets::UNLIMITED)
-        .expect("scheduler failed to make progress (dependence cycle?)");
-    // In debug builds, every schedule is independently re-verified —
-    // scheduler bugs become loud test failures instead of wrong numbers.
-    #[cfg(debug_assertions)]
-    crate::verify_sched::verify_schedule(lr, ddg, m, &sched)
-        .expect("scheduler produced an invalid schedule");
-    sched
-}
-
-/// Fallible [`schedule_region`]: builds the DDG and schedules under the
-/// given resource [`Budgets`].
-///
-/// # Errors
-///
-/// Returns [`SchedFailure::OpBudgetExceeded`] if the region is over the op
-/// budget, or [`SchedFailure::StepBudgetExceeded`] if the list scheduler
-/// runs more cycles than the cycle budget (or its built-in progress
-/// watchdog) allows.
-pub fn try_schedule_region(
-    lr: &LoweredRegion,
-    m: &MachineModel,
-    opts: &ScheduleOptions,
-    budgets: &Budgets,
-) -> Result<Schedule, SchedFailure> {
-    if let Some(cap) = budgets.max_region_ops {
-        if lr.num_ops() > cap {
-            return Err(SchedFailure::OpBudgetExceeded {
-                ops: lr.num_ops(),
-                budget: cap,
-            });
-        }
-    }
-    let ddg = Ddg::build(lr, m);
-    try_schedule_with_ddg(lr, &ddg, m, opts, budgets)
-}
-
-/// [`try_schedule_region`] with a pre-built DDG. This is the primitive the
-/// degradation chain and the fault-injection harness drive directly: it
-/// never panics on a malformed graph, and it does *not* self-verify (the
-/// robust pipeline verifies explicitly, under its own [`crate::VerifyMode`]).
+/// Returns the schedule with the run's [`SchedMetrics`].
 ///
 /// # Errors
 ///
@@ -280,14 +196,16 @@ pub fn try_schedule_region(
 /// more cycles than `budgets.max_schedule_cycles` (or the built-in
 /// watchdog of `4 × ops + 64` cycles, whichever is smaller) without
 /// issuing every op — the symptom of a dependence cycle or a corrupted
-/// graph.
+/// graph; [`SchedFailure::RegisterPressure`] when a finite register file
+/// on `m` livelocks the region; [`SchedFailure::DeadlineExceeded`] past
+/// `budgets.max_wall_ms`.
 pub fn try_schedule_with_ddg(
     lr: &LoweredRegion,
     ddg: &Ddg,
     m: &MachineModel,
     opts: &ScheduleOptions,
     budgets: &Budgets,
-) -> Result<Schedule, SchedFailure> {
+) -> Result<(Schedule, SchedMetrics), SchedFailure> {
     // Per-thread scratch: the transient tables below (heights, packed
     // keys, op state, the two heap backings, pass scratch) are sized by
     // the region and fully reinitialized per call, so reusing one
@@ -337,7 +255,7 @@ fn schedule_inner(
     m: &MachineModel,
     opts: &ScheduleOptions,
     budgets: &Budgets,
-) -> Result<Schedule, SchedFailure> {
+) -> Result<(Schedule, SchedMetrics), SchedFailure> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -808,16 +726,13 @@ fn schedule_inner(
     // only capacity is lost, and the next call re-takes empty vecs).
     scratch.heap = heap.into_vec();
     scratch.future = future.into_vec();
-    LAST_METRICS.with(|c| {
-        c.set(SchedMetrics {
-            automaton_states: auto.state_count(),
-            hazard_hits,
-            deferral_parks,
-            pressure_peak,
-            pressure_parks,
-        })
-    });
-    Ok(sched)
+    let metrics = SchedMetrics {
+        hazard_hits,
+        deferral_parks,
+        pressure_peak,
+        pressure_parks,
+    };
+    Ok((sched, metrics))
 }
 
 /// Adds `n` use occurrences of `r` to the per-class tables (growing the
@@ -1297,7 +1212,21 @@ mod tests {
     }
 
     fn sched(lr: &LoweredRegion, m: &MachineModel) -> Schedule {
-        schedule_region(lr, m, &ScheduleOptions::default())
+        crate::testutil::schedule(lr, m, &ScheduleOptions::default())
+    }
+
+    fn try_sched(
+        lr: &LoweredRegion,
+        m: &MachineModel,
+    ) -> Result<(Schedule, SchedMetrics), SchedFailure> {
+        let ddg = Ddg::build(lr, m);
+        try_schedule_with_ddg(
+            lr,
+            &ddg,
+            m,
+            &ScheduleOptions::default(),
+            &Budgets::UNLIMITED,
+        )
     }
 
     #[test]
@@ -1516,7 +1445,7 @@ mod tests {
         let lr = lower_entry(&f, true);
         let m = MachineModel::model_4u();
         for tb in [TieBreak::SourceOrder, TieBreak::RoundRobin] {
-            let s = schedule_region(
+            let s = crate::testutil::schedule(
                 &lr,
                 &m,
                 &ScheduleOptions {
@@ -1584,8 +1513,7 @@ mod tests {
         b.ret(bb0, Some(z));
         let f = b.finish();
         let lr = lower_entry(&f, true);
-        let _ = sched(&lr, &MachineModel::model_4u());
-        let mm = last_sched_metrics();
+        let (_, mm) = try_sched(&lr, &MachineModel::model_4u()).unwrap();
         assert!(
             mm.pressure_peak[RegClass::Gpr.index()] >= 2,
             "{:?}",
@@ -1615,7 +1543,7 @@ mod tests {
             assert!(defs <= 1, "cycle with {defs} defs under a 1-reg file");
         }
         assert_eq!(s.issued_ops(), lr.lops.len());
-        let mm = last_sched_metrics();
+        let (_, mm) = try_sched(&lr, &m).unwrap();
         assert!(mm.pressure_parks > 0);
         assert_eq!(mm.pressure_peak[RegClass::Gpr.index()], 1);
         // And a file with slack changes nothing: byte-identical cycles.
@@ -1640,8 +1568,7 @@ mod tests {
         let f = b.finish();
         let lr = lower_entry(&f, true);
         let m = MachineModel::model_4u().with_gpr_file(1);
-        let err = try_schedule_region(&lr, &m, &ScheduleOptions::default(), &Budgets::UNLIMITED)
-            .unwrap_err();
+        let err = try_sched(&lr, &m).unwrap_err();
         match err {
             SchedFailure::RegisterPressure { class, live, cap } => {
                 assert_eq!(class, RegClass::Gpr);
@@ -1663,8 +1590,7 @@ mod tests {
         b.ret(bb0, Some(x));
         let f = b.finish();
         let lr = lower_entry(&f, true);
-        let _ = sched(&lr, &MachineModel::model_4u());
-        let mm = last_sched_metrics();
+        let (_, mm) = try_sched(&lr, &MachineModel::model_4u()).unwrap();
         assert!(
             mm.pressure_peak[RegClass::Gpr.index()] >= 2,
             "live-in `a` plus loaded `x` must both be charged: {:?}",

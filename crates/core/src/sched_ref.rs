@@ -28,8 +28,8 @@ use std::collections::HashMap;
 use treegion_machine::{MachineModel, OpClass};
 
 /// Schedules `lr` with the retained seed algorithm. Output must be
-/// identical to [`crate::schedule_with_ddg`] on every input (the fast
-/// scheduler is a pure data-layout rewrite).
+/// identical to [`crate::try_schedule_with_ddg`]'s schedule on every
+/// input (the fast scheduler is a pure data-layout rewrite).
 ///
 /// # Panics
 ///

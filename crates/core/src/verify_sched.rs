@@ -338,9 +338,9 @@ pub fn verify_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::schedule;
     use crate::{
-        form_treegions, form_treegions_td, lower_region, schedule_region, Heuristic,
-        ScheduleOptions, TailDupLimits,
+        form_treegions, form_treegions_td, lower_region, Heuristic, ScheduleOptions, TailDupLimits,
     };
     use treegion_analysis::{Cfg, Liveness};
     use treegion_ir::{Cond, Function, FunctionBuilder, Op};
@@ -379,16 +379,19 @@ mod tests {
                 for r in set.regions() {
                     let lr = lower_region(&f, r, &live, None);
                     let ddg = Ddg::build(&lr, &m);
-                    let s = crate::schedule_with_ddg(
+                    let opts = ScheduleOptions {
+                        heuristic: h,
+                        dominator_parallelism: false,
+                        ..Default::default()
+                    };
+                    let (s, _) = crate::try_schedule_with_ddg(
                         &lr,
                         &ddg,
                         &m,
-                        &ScheduleOptions {
-                            heuristic: h,
-                            dominator_parallelism: false,
-                            ..Default::default()
-                        },
-                    );
+                        &opts,
+                        &crate::Budgets::UNLIMITED,
+                    )
+                    .unwrap();
                     verify_schedule(&lr, &ddg, &m, &s).unwrap();
                 }
             }
@@ -408,16 +411,14 @@ mod tests {
         for r in td.regions.regions() {
             let lr = lower_region(&td.function, r, &live, Some(&td.origin));
             let ddg = Ddg::build(&lr, &m);
-            let s = crate::schedule_with_ddg(
-                &lr,
-                &ddg,
-                &m,
-                &ScheduleOptions {
-                    heuristic: Heuristic::GlobalWeight,
-                    dominator_parallelism: true,
-                    ..Default::default()
-                },
-            );
+            let opts = ScheduleOptions {
+                heuristic: Heuristic::GlobalWeight,
+                dominator_parallelism: true,
+                ..Default::default()
+            };
+            let (s, _) =
+                crate::try_schedule_with_ddg(&lr, &ddg, &m, &opts, &crate::Budgets::UNLIMITED)
+                    .unwrap();
             verify_schedule(&lr, &ddg, &m, &s).unwrap();
         }
     }
@@ -436,7 +437,7 @@ mod tests {
         let r = set.region(set.region_of(f.entry()).unwrap());
         let lr = lower_region(&f, r, &live, None);
         let ddg = Ddg::build(&lr, &m);
-        let good = schedule_region(&lr, &m, &ScheduleOptions::default());
+        let good = schedule(&lr, &m, &ScheduleOptions::default());
         verify_schedule(&lr, &ddg, &m, &good).unwrap();
         let kind_of = |s: &Schedule| verify_schedule(&lr, &ddg, &m, s).unwrap_err().kind();
 
@@ -517,7 +518,7 @@ mod tests {
         let r = set.region(set.region_of(f.entry()).unwrap());
         let lr = lower_region(&f, r, &live, None);
         let ddg = Ddg::build(&lr, &m);
-        let good = schedule_region(&lr, &m, &ScheduleOptions::default());
+        let good = schedule(&lr, &m, &ScheduleOptions::default());
         verify_schedule(&lr, &ddg, &m, &good).unwrap();
         let divs: Vec<usize> = lr
             .lops
@@ -566,14 +567,14 @@ mod tests {
         let lr = lower_region(&f, r, &live, None);
         let m_fin = MachineModel::model_4u().with_gpr_file(1);
         let ddg = Ddg::build(&lr, &m_fin);
-        let wide = schedule_region(&lr, &MachineModel::model_4u(), &ScheduleOptions::default());
+        let wide = schedule(&lr, &MachineModel::model_4u(), &ScheduleOptions::default());
         assert_eq!(
             verify_schedule(&lr, &ddg, &m_fin, &wide)
                 .unwrap_err()
                 .kind(),
             ScheduleErrorKind::RegFileOverflow
         );
-        let tight = schedule_region(&lr, &m_fin, &ScheduleOptions::default());
+        let tight = schedule(&lr, &m_fin, &ScheduleOptions::default());
         verify_schedule(&lr, &ddg, &m_fin, &tight).unwrap();
     }
 
@@ -587,7 +588,7 @@ mod tests {
         let r = set.region(set.region_of(f.entry()).unwrap());
         let lr = lower_region(&f, r, &live, None);
         let ddg = Ddg::build(&lr, &m);
-        let good = schedule_region(&lr, &m, &ScheduleOptions::default());
+        let good = schedule(&lr, &m, &ScheduleOptions::default());
         verify_schedule(&lr, &ddg, &m, &good).unwrap();
 
         // Drop an op from its cycle: completeness violation.

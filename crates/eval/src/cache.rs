@@ -328,7 +328,7 @@ impl FormationCache {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from [`DiskCache::put`].
+    /// Propagates filesystem errors from [`ShardedDiskCache::put`].
     pub fn disk_put(
         &self,
         module_digest: u64,

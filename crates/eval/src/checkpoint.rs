@@ -125,7 +125,7 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Renders the manifest in its on-disk format. Directive lines carry
-    /// a [`crate::records`] seal; the header stays bare so old readers
+    /// a [`crate::seal_record`] seal; the header stays bare so old readers
     /// (which match it exactly) still recognize the file.
     pub fn render(&self) -> String {
         let mut out = String::new();

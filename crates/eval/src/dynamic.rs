@@ -13,7 +13,7 @@
 //!    over the profile.
 
 use crate::{EvalConfig, RegionConfig};
-use treegion::Heuristic;
+use treegion::{Heuristic, RegionFormer};
 use treegion_ir::Module;
 use treegion_machine::MachineModel;
 use treegion_sim::{interpret, State, VliwProgram};
@@ -62,7 +62,7 @@ pub fn validate_dynamic(
     for f in module.functions() {
         let reference = interpret(f, State::new(), fuel).expect("sequential execution");
         // Scheme under test.
-        let formed = crate::form_function(f, &config.region);
+        let formed = config.region.form(f);
         let prog = VliwProgram::compile(
             &formed.function,
             &formed.regions,
@@ -83,7 +83,7 @@ pub fn validate_dynamic(
             f.name()
         );
         // Baseline.
-        let base_formed = crate::form_function(f, &base_cfg.region);
+        let base_formed = base_cfg.region.form(f);
         let base_prog = VliwProgram::compile(
             &base_formed.function,
             &base_formed.regions,

@@ -50,9 +50,8 @@ pub use harness::{
     table2, table3, table4, Suite,
 };
 pub use pipeline::{
-    baseline_time, baseline_time_cached, form_function, program_time, program_time_cached,
-    program_time_robust, schedule_function, speedup, speedup_with_baseline, RobustModuleReport,
-    ScheduledRegion,
+    baseline_time, baseline_time_cached, program_time, program_time_cached, program_time_robust,
+    schedule_function, speedup, speedup_with_baseline,
 };
 pub use records::{
     check as check_record, escape as escape_record, recover as recover_records,

@@ -1,8 +1,7 @@
-//! The compile pipeline shared by every experiment — a thin veneer over
-//! the core [`treegion::Pipeline`] driver.
+//! The compile pipeline shared by every experiment, driven through the
+//! core [`treegion::Pipeline`].
 //!
-//! Nothing here wires `form_* → lower_region → schedule_region` by hand
-//! any more: formation goes through [`treegion::RegionFormer`] (the
+//! Formation goes through [`treegion::RegionFormer`] (the
 //! [`RegionConfig`] enum implements it), and scheduling goes through
 //! [`treegion::Pipeline::schedule_set`] / [`treegion::Pipeline::run_module`].
 //! The evaluation-specific parts that remain are the cell memoization
@@ -10,25 +9,11 @@
 
 use crate::{EvalConfig, FormationCache, RegionConfig};
 use treegion::{
-    EventLog, FormOutcome, Heuristic, Pipeline, PipelineError, RegionFormer, RobustOptions,
-    StageScope,
+    EventLog, FormOutcome, Heuristic, ModuleRun, Pipeline, PipelineError, RegionSchedule,
+    RobustOptions, StageScope,
 };
-use treegion_ir::{Function, Module};
+use treegion_ir::Module;
 use treegion_machine::MachineModel;
-
-/// A scheduled region with its lowering (re-export of the driver's
-/// per-region product).
-pub use treegion::RegionSchedule as ScheduledRegion;
-
-/// A whole-module robust scheduling run: the analytic time plus every
-/// degradation the chain survived (re-export of the driver's aggregate).
-pub use treegion::ModuleRun as RobustModuleReport;
-
-/// Applies `config`'s region formation to one function (stage 1 of the
-/// driver, unobserved).
-pub fn form_function(f: &Function, config: &RegionConfig) -> FormOutcome {
-    config.form(f)
-}
 
 /// Lowers and schedules every region of a formed function through the
 /// driver's infallible path.
@@ -41,7 +26,7 @@ pub fn schedule_function(
     machine: &MachineModel,
     heuristic: Heuristic,
     dominator_parallelism: bool,
-) -> Vec<ScheduledRegion> {
+) -> Vec<RegionSchedule> {
     let opts = RobustOptions {
         sched: treegion::ScheduleOptions {
             heuristic,
@@ -74,7 +59,7 @@ pub fn program_time_robust(
     config: &EvalConfig,
     machine: &MachineModel,
     robust: &RobustOptions,
-) -> Result<RobustModuleReport, PipelineError> {
+) -> Result<ModuleRun, PipelineError> {
     let log = EventLog::new();
     let opts = RobustOptions {
         sched: config.sched_options(),
@@ -144,8 +129,8 @@ pub fn program_time_cached(
                         function: name,
                         region: Some(i),
                     };
-                    p.schedule_lowered(lr, scope, &treegion::NullObserver)
-                        .estimated_time(lr)
+                    let (lr, s) = p.schedule_lowered(lr, scope, &treegion::NullObserver);
+                    s.estimated_time(&lr)
                 })
                 .iter()
                 .sum::<f64>()
@@ -187,7 +172,7 @@ pub fn speedup_with_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treegion::TailDupLimits;
+    use treegion::{RegionFormer, TailDupLimits};
     use treegion_workloads::{generate, BenchmarkSpec};
 
     #[test]
@@ -201,7 +186,7 @@ mod tests {
             RegionConfig::TreegionTd(TailDupLimits::expansion_2_0()),
         ] {
             for f in m.functions() {
-                let formed = form_function(f, &cfg);
+                let formed = cfg.form(f);
                 assert!(formed.regions.is_partition_of(&formed.function), "{cfg:?}");
                 treegion_ir::verify_profile(&formed.function).unwrap();
             }

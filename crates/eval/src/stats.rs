@@ -115,7 +115,7 @@ pub fn pressure_stats_cached(
                 function: name,
                 region: Some(i),
             };
-            let _ = p.schedule_lowered(lr, scope, &prof);
+            p.schedule_lowered(lr, scope, &prof);
         }
     }
     let ls = prof

@@ -158,9 +158,8 @@ pub fn variation_speedups(
                     function: f.name(),
                     region: Some(i),
                 };
-                scheme_time[k] += p
-                    .schedule_lowered(lr, scope, &NullObserver)
-                    .estimated_time_under(lr, &test);
+                let (lr, s) = p.schedule_lowered(lr, scope, &NullObserver);
+                scheme_time[k] += s.estimated_time_under(&lr, &test);
             }
         }
     }
@@ -241,18 +240,16 @@ mod tests {
 
     #[test]
     fn recosting_under_training_profile_matches_estimated_time() {
-        use treegion::{form_treegions, lower_region, schedule_region};
-        use treegion_analysis::{Cfg, Liveness};
+        use treegion::form_treegions;
         let m = generate(&BenchmarkSpec::tiny(41));
         let f = &m.functions()[0];
-        let cfg = Cfg::new(f);
-        let live = Liveness::new(f, &cfg);
         let machine = MachineModel::model_4u();
-        for r in form_treegions(f).regions() {
-            let lowered = lower_region(f, r, &live, None);
-            let s = schedule_region(&lowered, &machine, &ScheduleOptions::default());
-            let a = s.estimated_time(&lowered);
-            let b = s.estimated_time_under(&lowered, f);
+        let p = Pipeline::new(&machine);
+        let scheds = p.schedule_set(f, &form_treegions(f), None, &NullObserver);
+        for rs in &scheds {
+            let s = &rs.schedule;
+            let a = s.estimated_time(&rs.lowered);
+            let b = s.estimated_time_under(&rs.lowered, f);
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }

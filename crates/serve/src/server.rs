@@ -181,7 +181,13 @@ impl Server {
                     let handle = std::thread::spawn(move || {
                         handle_connection(stream, &engine, &admission, &drain, timeouts);
                     });
-                    lock(&handlers).push((handle, peer_copy));
+                    let mut live = lock(&handlers);
+                    // Reap handlers whose connection already ended: each
+                    // entry pins a socket clone (one fd) until dropped.
+                    for (done, _) in live.extract_if(.., |(h, _)| h.is_finished()) {
+                        let _ = done.join();
+                    }
+                    live.push((handle, peer_copy));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(15));

@@ -367,3 +367,45 @@ fn per_request_deadline_answers_with_structured_error() {
     shutdown(&addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Connection churn must not grow the process's open files: every
+/// accepted connection pins its socket until the server reaps the
+/// finished handler, so ~2,000 open-ping-close cycles against one
+/// in-process server would otherwise leak ~2,000 fds (and, at default
+/// limits, crash the accept loop with EMFILE).
+#[cfg(target_os = "linux")]
+#[test]
+fn connection_churn_keeps_open_fds_flat() {
+    const WAVE: usize = 25;
+    const WAVES: usize = 80;
+    let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+    let (addr, handle) = start(ServerConfig::default());
+    // One ping per connection proves the server accepted it; the whole
+    // wave is then closed at once, so handlers exit on EOF.
+    let wave = || {
+        let mut conns: Vec<TcpStream> = (0..WAVE)
+            .map(|_| TcpStream::connect(&addr).unwrap())
+            .collect();
+        for s in &mut conns {
+            assert_eq!(roundtrip(s, &render_simple(Verb::Ping)).kind, "pong");
+        }
+    };
+    wave();
+    let before = open_fds();
+    for _ in 1..WAVES {
+        wave();
+    }
+    let after = open_fds();
+    eprintln!(
+        "connection churn: {} connections, open fds {before} -> {after}",
+        WAVE * WAVES
+    );
+    // Handlers of the last two waves may still be live or unreaped, and
+    // other tests in this binary open files concurrently.
+    assert!(
+        after <= before + 4 * WAVE + 64,
+        "fd leak under churn: {before} -> {after} after {} connections",
+        WAVE * WAVES
+    );
+    shutdown(&addr, handle);
+}

@@ -64,10 +64,10 @@ pub use treegion_workloads as workloads;
 pub mod prelude {
     pub use treegion::{
         form_basic_blocks, form_slrs, form_superblocks, form_treegions, form_treegions_td,
-        lower_region, render_schedule, schedule_region, FormOutcome, Heuristic, LoweredRegion,
-        NullObserver, PassObserver, Pipeline, Profiler, Region, RegionConfig, RegionFormer,
-        RegionKind, RegionSchedule, RegionSet, RobustOptions, Schedule, ScheduleOptions, Stage,
-        StageScope, StageStats, TailDupLimits, TieBreak,
+        lower_region, render_schedule, FormOutcome, Heuristic, LoweredRegion, NullObserver,
+        PassObserver, Pipeline, Profiler, Region, RegionConfig, RegionFormer, RegionKind,
+        RegionSchedule, RegionSet, RobustOptions, Schedule, ScheduleOptions, Stage, StageScope,
+        StageStats, TailDupLimits, TieBreak,
     };
     pub use treegion_analysis::{Cfg, DomTree, Liveness, Loops};
     pub use treegion_ir::{

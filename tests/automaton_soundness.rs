@@ -14,7 +14,9 @@
 use treegion_suite::analysis::{Cfg, Liveness};
 use treegion_suite::machine::OpClass;
 use treegion_suite::prelude::*;
-use treegion_suite::treegion::lower_region;
+use treegion_suite::treegion::{
+    lower_region, try_schedule_with_ddg, verify_schedule, Budgets, Ddg,
+};
 use treegion_suite::workloads::generate_fuzz;
 
 fn machines() -> Vec<MachineModel> {
@@ -83,17 +85,20 @@ fn fuzz_schedules_replay_through_the_automaton() {
             for region in set.regions() {
                 let lr = lower_region(f, region, &live, None);
                 for m in machines() {
+                    let ddg = Ddg::build(&lr, &m);
                     for heuristic in Heuristic::ALL {
-                        let s = schedule_region(
-                            &lr,
-                            &m,
-                            &ScheduleOptions {
-                                heuristic,
-                                dominator_parallelism: false,
-                                tie_break: TieBreak::SourceOrder,
-                            },
-                        );
-                        replay(&format!("seed {seed:#x} {m} {heuristic}"), &lr, &s, &m);
+                        let opts = ScheduleOptions {
+                            heuristic,
+                            dominator_parallelism: false,
+                            tie_break: TieBreak::SourceOrder,
+                        };
+                        let ctx = format!("seed {seed:#x} {m} {heuristic}");
+                        let (s, _) =
+                            try_schedule_with_ddg(&lr, &ddg, &m, &opts, &Budgets::UNLIMITED)
+                                .unwrap_or_else(|e| panic!("{ctx}: scheduler failed: {e}"));
+                        verify_schedule(&lr, &ddg, &m, &s)
+                            .unwrap_or_else(|e| panic!("{ctx}: invalid schedule: {e}"));
+                        replay(&ctx, &lr, &s, &m);
                     }
                 }
             }

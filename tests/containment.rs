@@ -6,8 +6,9 @@
 //!   quarantines the poison inputs;
 //! * resuming that run (faults removed) re-runs *only* the two failed
 //!   cells and merges into a report byte-identical to a clean serial run;
-//! * region-level panics injected under `schedule_function_robust` are
-//!   contained and recovered by the fallback chain.
+//! * region-level panics injected into the robust chain
+//!   (`Pipeline::run_set`) are contained and recovered by its fallback
+//!   ladder.
 
 use std::path::PathBuf;
 use treegion_suite::eval::{

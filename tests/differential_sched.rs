@@ -15,7 +15,9 @@
 
 use treegion_suite::analysis::{Cfg, Liveness};
 use treegion_suite::prelude::*;
-use treegion_suite::treegion::{lower_region, schedule_with_ddg, schedule_with_ddg_reference, Ddg};
+use treegion_suite::treegion::{
+    lower_region, schedule_with_ddg_reference, try_schedule_with_ddg, verify_schedule, Budgets, Ddg,
+};
 use treegion_suite::workloads::generate_fuzz;
 
 /// Machines under test: the paper's three universal machines, a
@@ -59,11 +61,15 @@ fn check_function(tag: &str, f: &Function, regions: &RegionSet, origin: Option<&
                             dominator_parallelism,
                             tie_break,
                         };
-                        let fast = schedule_with_ddg(&lr, &ddg, &m, &opts);
-                        let reference = schedule_with_ddg_reference(&lr, &ddg, &m, &opts);
                         let ctx = format!(
                             "{tag} region {ri} {m} {heuristic} {tie_break:?} dompar={dominator_parallelism}"
                         );
+                        let (fast, _) =
+                            try_schedule_with_ddg(&lr, &ddg, &m, &opts, &Budgets::UNLIMITED)
+                                .unwrap_or_else(|e| panic!("scheduler failed: {ctx}: {e}"));
+                        verify_schedule(&lr, &ddg, &m, &fast)
+                            .unwrap_or_else(|e| panic!("invalid schedule: {ctx}: {e}"));
+                        let reference = schedule_with_ddg_reference(&lr, &ddg, &m, &opts);
                         assert_eq!(fast.cycles, reference.cycles, "cycles diverged: {ctx}");
                         assert_eq!(
                             fast.exit_cycles, reference.exit_cycles,

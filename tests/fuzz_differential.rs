@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use treegion_suite::prelude::*;
 use treegion_suite::sim::ExecResult;
-use treegion_suite::treegion::{FaultPlan, RobustOptions};
+use treegion_suite::treegion::{FaultPlan, PipelineError, RobustOptions, SchedFailure};
 use treegion_suite::workloads::generate_fuzz;
 
 const FUEL: u64 = 1_000_000;
@@ -133,6 +133,14 @@ fn run_case(f: &Function) -> Result<(), String> {
                 &MachineModel::model_4u(),
                 &expected,
             )?;
+            // Treegion shapes also on a finite 64-entry GPR file (the
+            // pressure-aware scheduler and its spill path) and on the
+            // per-class asymmetric machine.
+            if matches!(former, Former::Treegion | Former::TreegionTd) {
+                for m in [MachineModel::model_4u_r64(), MachineModel::model_4u_asym()] {
+                    check_config(f, former, Heuristic::GlobalWeight, &m, &expected)?;
+                }
+            }
         }
         Ok(())
     }));
@@ -319,6 +327,114 @@ fn fault_campaign_recoveries_stay_equivalent() {
             assert_eq!(got.state.mem, expected.state.mem, "seed {seed:#x}");
         }
     });
+}
+
+/// One robust-path draw on a finite register file: forms `f`, runs the
+/// degradation chain, compiles the accepted partition (carved fallback
+/// pieces included) and executes it against the interpreter. Returns
+/// whether the chain spilled and whether it degraded; a divergence
+/// panics, a chain that fails at every level is returned.
+fn robust_draw(
+    f: &Function,
+    former: Former,
+    machine: &MachineModel,
+    tag: &str,
+) -> Result<(bool, bool), PipelineError> {
+    let (func, regions, origin) = former.form(f);
+    let r = Pipeline::new(machine).run_set(&func, &regions, origin.as_deref(), &NullObserver)?;
+    assert!(
+        r.events.iter().all(|e| e.recovered),
+        "{tag}: unrecovered event under strict verify"
+    );
+    let spilled = r
+        .outcomes
+        .iter()
+        .flat_map(|o| o.lowered.lops.iter())
+        .any(|l| l.op.opcode == Opcode::Spill);
+    let expected = interpret(f, State::new(), FUEL).expect("interp");
+    let set = r.region_set();
+    let prog = VliwProgram::compile(
+        &func,
+        &set,
+        machine,
+        &ScheduleOptions::default(),
+        origin.as_deref(),
+    );
+    let got = prog
+        .execute(State::new(), FUEL)
+        .unwrap_or_else(|e| panic!("{tag}: vliw execution failed: {e}"));
+    assert_eq!(got.ret, expected.ret, "{tag}: return diverged");
+    assert_eq!(got.state.mem, expected.state.mem, "{tag}: memory diverged");
+    Ok((spilled, !r.is_clean()))
+}
+
+/// One robust draw: its tag and [`robust_draw`]'s outcome.
+type Draw = (String, Result<(bool, bool), PipelineError>);
+
+/// Runs [`robust_draw`] for every fuzz function × {treegion,
+/// treegion-td} on `machine`, in seed order.
+fn robust_draws(machine: &MachineModel) -> Vec<Draw> {
+    let seeds: Vec<u64> = (0..cases()).map(|i| 0xF022_0000 + i).collect();
+    let per_seed = treegion_par::par_map(&seeds, |&seed| {
+        let module = generate_fuzz(seed);
+        let mut out = Vec::new();
+        for f in module.functions() {
+            for former in [Former::Treegion, Former::TreegionTd] {
+                let tag = format!("seed {seed:#x} {} {} {machine}", f.name(), former.label());
+                let res = robust_draw(f, former, machine, &tag);
+                out.push((tag, res));
+            }
+        }
+        out
+    });
+    per_seed.into_iter().flatten().collect()
+}
+
+/// Robust-path differential on a 16-entry GPR file: every draw must
+/// schedule (spilling and degrading as needed) and execute equivalently.
+#[test]
+fn spilled_robust_schedules_stay_equivalent() {
+    let machine = MachineModel::model_4u().with_gpr_file(16);
+    let draws = robust_draws(&machine);
+    let (mut spilled, mut degraded) = (0, 0);
+    for (tag, res) in &draws {
+        let (s, d) = res
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{tag}: fallback chain exhausted: {e}"));
+        spilled += usize::from(*s);
+        degraded += usize::from(*d);
+    }
+    eprintln!(
+        "{machine}: {} draws, {spilled} spilled, {degraded} degraded, all equivalent",
+        draws.len()
+    );
+}
+
+/// An 8-entry GPR file: every draw either executes equivalently or fails
+/// with register pressure at every fallback level — never a panic, a
+/// different failure, or a miscompile. The failures are the known
+/// pressure livelock of the parking scheduler; their count is printed,
+/// not filtered.
+#[test]
+fn tiny_register_file_fails_only_on_register_pressure() {
+    let machine = MachineModel::model_4u().with_gpr_file(8);
+    let draws = robust_draws(&machine);
+    let mut failed = 0;
+    for (tag, res) in &draws {
+        if let Err(e) = res {
+            assert!(
+                e.attempts
+                    .iter()
+                    .all(|(_, c)| matches!(c, SchedFailure::RegisterPressure { .. })),
+                "{tag}: non-pressure failure: {e}"
+            );
+            failed += 1;
+        }
+    }
+    eprintln!(
+        "{machine}: {failed} of {} draws fail with register pressure at every level",
+        draws.len()
+    );
 }
 
 /// Exercises the shrinker and repro writer on a synthetic oracle (the real

@@ -151,16 +151,19 @@ fn schedules_respect_all_dependences_and_resources() {
             let lowered = lower_region(f, r, &live, None);
             let ddg = treegion::Ddg::build(&lowered, &machine);
             for heuristic in Heuristic::ALL {
-                let s = treegion::schedule_with_ddg(
+                let opts = ScheduleOptions {
+                    heuristic,
+                    dominator_parallelism: false,
+                    ..Default::default()
+                };
+                let (s, _) = treegion::try_schedule_with_ddg(
                     &lowered,
                     &ddg,
                     &machine,
-                    &ScheduleOptions {
-                        heuristic,
-                        dominator_parallelism: false,
-                        ..Default::default()
-                    },
-                );
+                    &opts,
+                    &treegion::Budgets::UNLIMITED,
+                )
+                .unwrap();
                 treegion::verify_schedule(&lowered, &ddg, &machine, &s)
                     .unwrap_or_else(|e| panic!("schedule verification (seed {seed}): {e}"));
                 // Every op scheduled exactly once.

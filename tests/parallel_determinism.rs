@@ -17,7 +17,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 use treegion_suite::eval::{
-    fig13, fig6, fig8, form_function, schedule_function, table1, table3, RegionConfig, Suite,
+    fig13, fig6, fig8, schedule_function, table1, table3, RegionConfig, Suite,
 };
 use treegion_suite::prelude::*;
 use treegion_suite::treegion::RobustOptions;
@@ -47,7 +47,7 @@ fn render_module_schedules(module: &Module) -> String {
             RegionConfig::Treegion,
             RegionConfig::TreegionTd(TailDupLimits::expansion_2_0()),
         ] {
-            let formed = form_function(f, &config);
+            let formed = config.form(f);
             for s in schedule_function(&formed, &machine, Heuristic::GlobalWeight, false) {
                 out.push_str(&render_schedule(&s.lowered, &s.schedule, &machine));
                 out.push('\n');
