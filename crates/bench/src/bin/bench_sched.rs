@@ -41,12 +41,12 @@
 //! directory, i.e. the repository root when run via `cargo run`).
 //! `--regress BASELINE.json` exits non-zero if `ddg_build`,
 //! `list_sched`, `schedule_region`, `pressure_track`, `hazard_probe`,
-//! `serve_cold`, `serve_warm`, `serve_warm_c8`, or `cache_shard_probe`
-//! regresses more than 1.3× against the committed baseline file (the
-//! per-kernel CI regression bound); each failing line names the kernel
-//! and its observed/allowed ratio. `--states` prints the
-//! hazard-automaton state count of every machine preset and exits — the
-//! CI guard against state-space blowups.
+//! `serve_cold`, `serve_warm`, `serve_warm_c1`, `serve_warm_c8`, or
+//! `cache_shard_probe` regresses more than 1.3× against the committed
+//! baseline file (the per-kernel CI regression bound); each failing
+//! line names the kernel and its observed/allowed ratio. `--states`
+//! prints the hazard-automaton state count of every machine preset and
+//! exits — the CI guard against state-space blowups.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -632,6 +632,7 @@ fn main() {
                 ("hazard_probe", hazard_probe_ns),
                 ("serve_cold", serve_cold_us),
                 ("serve_warm", serve_warm_us),
+                ("serve_warm_c1", c1_us),
                 ("serve_warm_c8", c8_us),
                 ("cache_shard_probe", shard_probe_ns),
             ],

@@ -48,7 +48,7 @@ use crate::{EvalConfig, RegionConfig};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use treegion::{form_and_lower, FormOutcome, Heuristic, LoweredRegion, NullObserver};
 use treegion_analysis::{Cfg, Liveness};
 use treegion_ir::Module;
@@ -195,9 +195,13 @@ pub struct CacheStats {
 /// fingerprint (its `Debug` rendering).
 type TimeKey = (ModuleKey, ConfigKey, Heuristic, bool, String);
 
+/// One formation key's slot: inserted empty under the map lock, filled
+/// once outside it.
+type FormationCell = Arc<OnceLock<Arc<ModuleFormation>>>;
+
 struct Inner {
     enabled: bool,
-    formations: Mutex<HashMap<(ModuleKey, ConfigKey), Arc<ModuleFormation>>>,
+    formations: Mutex<HashMap<(ModuleKey, ConfigKey), FormationCell>>,
     times: Mutex<HashMap<TimeKey, f64>>,
     formation_counters: Counters,
     time_counters: Counters,
@@ -217,11 +221,12 @@ pub struct FormationCache {
 
 // The poison-tolerant lock acquire used throughout this file is
 // `treegion_par::lock_tolerant` — see its docs for why recovering a
-// poisoned guard is sound (entries are inserted fully-formed in a single
-// `HashMap` operation, and every computation happens *outside* the
-// lock). Treating poison as fatal would turn one contained panic into a
-// cascade of failures across every cell that shares the cache — exactly
-// what the containment layer exists to prevent.
+// poisoned guard is sound (entries are inserted in a single `HashMap`
+// operation, every computation happens *outside* the lock, and a
+// formation cell whose computation panicked stays empty, so the next
+// caller computes it). Treating poison as fatal would turn one contained
+// panic into a cascade of failures across every cell that shares the
+// cache — exactly what the containment layer exists to prevent.
 
 impl std::fmt::Debug for FormationCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -354,23 +359,26 @@ impl FormationCache {
             return Arc::new(ModuleFormation::compute(module, config));
         }
         let key = (ModuleKey::of(module), ConfigKey::of(config));
-        if let Some(hit) = lock_tolerant(&self.inner.formations).get(&key) {
-            self.inner.formation_counters.hit();
-            return Arc::clone(hit);
-        }
-        // Compute outside the lock so misses on distinct keys proceed in
-        // parallel; on a race the first insertion wins (both computations
-        // are deterministic and identical).
-        self.inner.formation_counters.miss();
-        let computed = Arc::new(ModuleFormation::compute(module, config));
-        Arc::clone(
-            self.inner
-                .formations
-                .lock()
-                .unwrap()
+        // Single flight: the key's cell is inserted under the lock and
+        // filled outside it, so misses on distinct keys proceed in
+        // parallel while racers on one key wait for its one computation.
+        // The thread that fills the cell counts the miss.
+        let cell = Arc::clone(
+            lock_tolerant(&self.inner.formations)
                 .entry(key)
-                .or_insert(computed),
-        )
+                .or_default(),
+        );
+        let mut computed = false;
+        let formation = cell.get_or_init(|| {
+            computed = true;
+            Arc::new(ModuleFormation::compute(module, config))
+        });
+        if computed {
+            self.inner.formation_counters.miss();
+        } else {
+            self.inner.formation_counters.hit();
+        }
+        Arc::clone(formation)
     }
 
     /// Memoizes the scalar `program_time` of one `(module, config,

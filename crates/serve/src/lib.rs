@@ -48,5 +48,5 @@ pub use protocol::{
     render_simple, write_frame, BatchOptions, ModuleRequest, Poison, Request, ResponseFrame,
     ResultStatus, Verb, MAGIC, MAX_FRAME,
 };
-pub use server::{Server, ServerConfig};
+pub use server::{DrainHandle, Server, ServerConfig};
 pub use stats::ServeStats;

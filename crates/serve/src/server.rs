@@ -1,15 +1,18 @@
 //! The TCP front end: accept loop, per-connection pipelined handlers,
 //! graceful drain.
 //!
-//! The accept loop is non-blocking with a short poll so the drain flag
-//! is observed promptly; each connection gets a blocking handler thread
-//! (connections are few — this is a build-farm service, not a web
-//! server). `shutdown` flips the drain flag: the loop stops accepting,
-//! waits for every admission slot to free (in-flight batches finish and
-//! their replies go out), force-closes idle connections to unblock
-//! their readers, joins every handler, and checkpoints the durable
-//! cache. Crash safety does **not** depend on the graceful path — every
-//! cache write is already fsynced — the checkpoint merely compacts.
+//! The accept loop blocks in `accept()`; each connection gets a blocking
+//! handler thread (connections are few — this is a build-farm service,
+//! not a web server). Nothing waits on a timer to notice a drain. A
+//! [`DrainHandle`] (held by the `shutdown` verb, handed to embedders by
+//! [`Server::drain_handle`]) sets the drain flag and opens one throwaway
+//! connection to the listener, so the blocked `accept()` returns and the
+//! loop sees the flag. The loop then shuts the read side of every live
+//! connection — each blocked reader wakes with EOF and takes no further
+//! frame — joins every handler (each one first answers the batches it
+//! already read), and checkpoints the durable cache. Crash safety does
+//! **not** depend on the graceful path — every cache write is already
+//! fsynced — the checkpoint merely compacts.
 //!
 //! ## The connection state machine
 //!
@@ -44,7 +47,7 @@ use crate::protocol::{
     parse_request, read_frame_event, render_response, write_frame, FrameEvent, Request, Verb,
 };
 use crate::stats::bump;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -101,12 +104,39 @@ struct Timeouts {
     pipeline_depth: usize,
 }
 
+/// Trips a server's drain from any thread. Cloneable; every clone
+/// drains the same server.
+#[derive(Clone, Debug)]
+pub struct DrainHandle {
+    flag: Arc<AtomicBool>,
+    /// Where [`DrainHandle::trip`] connects to wake the blocked accept:
+    /// the listener's address, with an unspecified IP replaced by the
+    /// loopback address of the same family.
+    wake: SocketAddr,
+}
+
+impl DrainHandle {
+    /// Sets the drain flag, then opens and drops one connection to the
+    /// listener so a blocked `accept()` returns and sees the flag.
+    /// Idempotent; a refused connection (the server already stopped
+    /// listening) is ignored.
+    pub fn trip(&self) {
+        self.flag.store(true, Ordering::Release);
+        let _ = TcpStream::connect(self.wake);
+    }
+
+    /// `true` once [`DrainHandle::trip`] ran.
+    pub fn is_tripped(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+}
+
 /// A bound (not yet running) server.
 pub struct Server {
     listener: TcpListener,
     engine: Arc<Engine>,
     admission: Admission,
-    drain: Arc<AtomicBool>,
+    drain: DrainHandle,
     timeouts: Timeouts,
 }
 
@@ -121,11 +151,21 @@ impl Server {
         let engine = Arc::new(Engine::open(&config.engine)?);
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
+        let mut wake = listener.local_addr().map_err(|e| e.to_string())?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         Ok(Server {
             listener,
             engine,
             admission: Admission::new(config.queue_max.max(1), config.retry_after_ms),
-            drain: Arc::new(AtomicBool::new(false)),
+            drain: DrainHandle {
+                flag: Arc::new(AtomicBool::new(false)),
+                wake,
+            },
             timeouts: Timeouts {
                 read_ms: config.read_timeout_ms.max(1),
                 write_ms: config.write_timeout_ms.max(1),
@@ -151,65 +191,54 @@ impl Server {
     }
 
     /// A handle that trips the drain from outside the protocol (tests,
-    /// embedders). The `shutdown` verb flips the same flag.
-    pub fn drain_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.drain)
+    /// embedders). The `shutdown` verb trips the same drain.
+    pub fn drain_handle(&self) -> DrainHandle {
+        self.drain.clone()
     }
 
     /// Runs until drained: accepts connections, serves requests, and on
-    /// `shutdown` finishes in-flight work, joins every handler, and
+    /// drain answers every batch already read, joins every handler, and
     /// checkpoints the cache.
     ///
     /// # Errors
     ///
     /// Propagates listener failures and the final checkpoint error.
     pub fn run(self) -> Result<(), String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
-        let handlers: Mutex<Vec<(std::thread::JoinHandle<()>, TcpStream)>> = Mutex::new(Vec::new());
-        while !self.drain.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let peer_copy = stream
-                        .try_clone()
-                        .map_err(|e| format!("clone stream: {e}"))?;
-                    let engine = Arc::clone(&self.engine);
-                    let admission = self.admission.clone();
-                    let drain = Arc::clone(&self.drain);
-                    let timeouts = self.timeouts;
-                    let handle = std::thread::spawn(move || {
-                        handle_connection(stream, &engine, &admission, &drain, timeouts);
-                    });
-                    let mut live = lock(&handlers);
-                    // Reap handlers whose connection already ended: each
-                    // entry pins a socket clone (one fd) until dropped.
-                    for (done, _) in live.extract_if(.., |(h, _)| h.is_finished()) {
-                        let _ = done.join();
-                    }
-                    live.push((handle, peer_copy));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+        // Touched only by this thread: (handler, socket clone) pairs.
+        let mut handlers: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(format!("accept: {e}")),
+            };
+            if self.drain.is_tripped() {
+                break; // the wake-up connection, or a late client
             }
+            let peer_copy = stream
+                .try_clone()
+                .map_err(|e| format!("clone stream: {e}"))?;
+            let engine = Arc::clone(&self.engine);
+            let admission = self.admission.clone();
+            let drain = self.drain.clone();
+            let timeouts = self.timeouts;
+            let handle = std::thread::spawn(move || {
+                handle_connection(stream, &engine, &admission, &drain, timeouts);
+            });
+            // Reap handlers whose connection already ended: each entry
+            // pins a socket clone (one fd) until dropped.
+            for (done, _) in handlers.extract_if(.., |(h, _)| h.is_finished()) {
+                let _ = done.join();
+            }
+            handlers.push((handle, peer_copy));
         }
-        // Drain: in-flight batches hold admission slots until their
-        // replies are rendered; wait for the slots to free (bounded so a
-        // wedged handler cannot hold the drain hostage), give the final
-        // reply writes a beat, then unblock idle readers and join.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while self.admission.inflight() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
+        // Drain: EOF every blocked reader. Each handler stops taking
+        // frames, answers the batches it already read (writes keep their
+        // timeout), and exits; the last exit ends the drain.
+        for (_, stream) in &handlers {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        std::thread::sleep(Duration::from_millis(100));
-        let mut handlers = lock(&handlers);
-        for (_, stream) in handlers.iter() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for (handle, _) in handlers.drain(..) {
+        for (handle, _) in handlers {
             let _ = handle.join();
         }
         self.engine.checkpoint()
@@ -222,7 +251,7 @@ fn handle_connection(
     stream: TcpStream,
     engine: &Engine,
     admission: &Admission,
-    drain: &AtomicBool,
+    drain: &DrainHandle,
     timeouts: Timeouts,
 ) {
     let mut stream = stream;
@@ -235,7 +264,7 @@ fn handle_connection(
     // the peer would sit on a half-dead connection until the server
     // drains. Shut the underlying socket down explicitly: a dropped,
     // reaped, or stalled connection closes the moment its handler exits.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// One enqueued compile batch: its sequence id, the parsed request, and
@@ -260,7 +289,7 @@ fn serve_connection(
     stream: &mut TcpStream,
     engine: &Engine,
     admission: &Admission,
-    drain: &AtomicBool,
+    drain: &DrainHandle,
     timeouts: Timeouts,
 ) {
     let Ok(wstream) = stream.try_clone() else {
@@ -299,7 +328,8 @@ fn serve_connection(
             };
         let mut idle_ms = 0u64;
         loop {
-            if dead.load(Ordering::Acquire) {
+            // A dead socket, or a drain: take no new frame.
+            if dead.load(Ordering::Acquire) || drain.is_tripped() {
                 break;
             }
             let frame = match read_frame_event(&mut *stream) {
@@ -307,13 +337,10 @@ fn serve_connection(
                     idle_ms = 0;
                     f
                 }
-                Ok(FrameEvent::Eof) => break, // peer hung up cleanly
+                Ok(FrameEvent::Eof) => break, // peer hung up, or drain
                 Ok(FrameEvent::IdleTimeout) => {
                     if outstanding.load(Ordering::Acquire) > 0 {
                         continue; // waiting on results, not idle
-                    }
-                    if drain.load(Ordering::Acquire) {
-                        break; // draining: stop waiting on idle peers
                     }
                     idle_ms = idle_ms.saturating_add(timeouts.read_ms);
                     if timeouts.idle_ms > 0 && idle_ms >= timeouts.idle_ms {
@@ -360,7 +387,7 @@ fn serve_connection(
                     // still gets every reply.
                     finish(&mut tx, &mut worker);
                     let _ = write_locked(writer, &render_response("draining", &[], ""));
-                    drain.store(true, Ordering::Release);
+                    drain.trip();
                     break;
                 }
                 Verb::Close => {

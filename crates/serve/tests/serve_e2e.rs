@@ -409,3 +409,30 @@ fn connection_churn_keeps_open_fds_flat() {
     );
     shutdown(&addr, handle);
 }
+
+/// An idle server blocked in `accept()` returns from `run()` when its
+/// drain handle is tripped from another thread — bound to loopback and
+/// to the wildcard address, whose wake-up connects to loopback instead.
+/// The wait is bounded so a broken wake-up fails instead of hanging.
+#[test]
+fn drain_handle_wakes_an_idle_server() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(&ServerConfig {
+            addr: addr.into(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let drain = server.drain_handle();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(server.run());
+        });
+        assert!(!drain.is_tripped());
+        drain.trip();
+        let ran = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("run() on {addr} did not return after trip()"));
+        ran.unwrap();
+        handle.join().unwrap();
+    }
+}
