@@ -234,7 +234,7 @@ SERVE:
   long-lived scheduler-as-a-service daemon (DESIGN.md §12, §15): batches
   of tir modules over length-prefixed TCP with keep-alive pipelining
   (seq-tagged batches answered FIFO while the next batch is read;
-  `close` ends one connection gracefully), per-request catch_unwind
+  `close` ends one connection gracefully), per-request panic
   containment with soft deadlines and watchdog escalation, FNV-deduped
   quarantine of repeat offenders, bounded admission with deterministic
   load shedding, and a checksummed crash-recoverable disk cache striped

@@ -305,16 +305,13 @@ fn schedule_one(
 /// in lowering, scheduling, or verification becomes
 /// [`SchedFailure::Panicked`] instead of aborting the run, so the
 /// degradation chain treats a crash exactly like a verifier rejection or
-/// a tripped budget. `AssertUnwindSafe` is sound here: on a contained
+/// a tripped budget. Asserting unwind safety is sound here: on a contained
 /// panic the attempt's partial state is discarded wholesale, and the
 /// fault injector (the only captured `&mut`) is documented to be
 /// serial-only, so a torn injector stream can never feed a parallel path.
 fn contain<R>(body: impl FnOnce() -> Result<R, SchedFailure>) -> Result<R, SchedFailure> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|p| {
-        Err(SchedFailure::Panicked {
-            payload: treegion_par::panic_message(p.as_ref()),
-        })
-    })
+    treegion_par::catch_panic(body)
+        .unwrap_or_else(|payload| Err(SchedFailure::Panicked { payload }))
 }
 
 /// The primary-level [`attempt`] under [`contain`], with the

@@ -367,17 +367,6 @@ pub fn render_cell(suite: &Suite, name: &str) -> String {
     }
 }
 
-/// Renders a figure at both standard machine models (4U then 8U),
-/// separated by a blank line — the shared body of the `fig6`, `fig8`,
-/// and `fig13` binaries.
-pub fn render_figure_pair(suite: &Suite, figure: &str) -> String {
-    format!(
-        "{}\n{}",
-        render_cell(suite, &format!("{figure}@4u")),
-        render_cell(suite, &format!("{figure}@8u"))
-    )
-}
-
 fn speedup_rows(
     suite: &Suite,
     machine: &MachineModel,

@@ -7,8 +7,9 @@
 //! (see DESIGN.md for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured numbers).
 //!
-//! Each table/figure also has a binary (`cargo run -p treegion-eval
-//! --bin table1`, `--bin fig6`, ... or `--bin all`).
+//! `tgc eval` renders the cells (`--only table1`, `--only fig8@4u`, ...);
+//! the artifacts outside the cell list have binaries (`--bin fig4_5`,
+//! `--bin fig12`, `--bin shapes`, `--bin variation`, `--bin dynamic`).
 //!
 //! ## Example
 //!
@@ -46,8 +47,8 @@ pub use config::{EvalConfig, RegionConfig};
 pub use diskcache::{result_key, DiskCache, DiskRecovery, DiskStats};
 pub use dynamic::{validate_dynamic, DynamicReport};
 pub use harness::{
-    fig13, fig6, fig8, pressure_ablation, pressure_table, render_cell, render_figure_pair, table1,
-    table2, table3, table4, Suite,
+    fig13, fig6, fig8, pressure_ablation, pressure_table, render_cell, table1, table2, table3,
+    table4, Suite,
 };
 pub use pipeline::{
     baseline_time, baseline_time_cached, program_time, program_time_cached, program_time_robust,

@@ -3,14 +3,15 @@
 //! [`run_harness`] executes the paper's ten evaluation cells (tables 1-4,
 //! figures 6/8/13 at 4U and 8U) under a containment envelope:
 //!
-//! * **Panic containment** — each cell runs under `catch_unwind` (via
-//!   [`treegion_par::par_map_isolated`] on the parallel path, or inside a
-//!   watchdog thread on the deadline path). A panicking cell never takes
-//!   the run down; the other cells complete.
+//! * **Panic containment** — each cell runs under the panic envelope of
+//!   `treegion_par` ([`treegion_par::par_map_isolated`] on the parallel
+//!   path, [`treegion_par::contain`] on the deadline and retry paths). A
+//!   panicking cell never takes the run down; the other cells complete.
 //! * **Deadline watchdogs** — with [`HarnessOptions::cell_deadline_ms`]
-//!   set, each cell runs on its own thread and the runner waits at most
-//!   the deadline before declaring [`ContainmentCause::Deadline`]. The
-//!   abandoned thread is detached, not killed: its result is discarded.
+//!   set, each cell runs on its own thread under
+//!   [`treegion_par::contain`], and the runner waits at most the deadline
+//!   before declaring [`ContainmentCause::Deadline`]. The abandoned
+//!   thread is detached, not killed: its result is discarded.
 //! * **Retry with backoff** — failed cells are re-attempted up to
 //!   [`RetryPolicy::attempts`] times with exponential backoff. Attempt 1
 //!   uses the shared memoized [`Suite`]; attempts ≥ 2 rebuild a fresh
@@ -35,9 +36,9 @@ use std::time::Duration;
 use crate::checkpoint::{cell_path, fnv1a, git_rev, CellRecord, CellStatus, RunManifest};
 use crate::harness::{render_cell, Suite};
 use treegion::{ContainmentAction, ContainmentCause, ContainmentEvent, RetryPolicy};
-use treegion_par::TaskOutcome;
+use treegion_par::{Escape, TaskOutcome};
 
-/// The canonical harness cells, in paper order (the order `--bin all`
+/// The canonical harness cells, in paper order (the order `tgc eval`
 /// prints them). Checkpoint manifests and merged reports use this order.
 pub const CELL_NAMES: [&str; 15] = [
     "table1",
@@ -287,14 +288,9 @@ fn cell_body(name: &str, suite: &Suite, fault: Option<CellFault>, attempt: u32) 
     Ok(render_cell(suite, name))
 }
 
-/// Runs one attempt under the containment envelope. With a deadline the
-/// body runs on a watchdog thread (`catch_unwind` inside, result over a
-/// channel, `recv_timeout` outside). A thread that beats its deadline is
-/// **joined** — it already sent its result, so the join is immediate and
-/// the thread does not accumulate; only a timed-out thread is abandoned
-/// (detached), since joining it would wait out the very hang the
-/// watchdog just contained. Without a deadline the body runs in place
-/// under `catch_unwind`.
+/// Runs one attempt under [`treegion_par::contain`]: in place without a
+/// deadline, on a watchdog thread with one (a timed-out thread is
+/// detached and its late result discarded).
 fn run_attempt(
     name: &str,
     suite: &Suite,
@@ -302,56 +298,19 @@ fn run_attempt(
     attempt: u32,
     deadline_ms: Option<u64>,
 ) -> AttemptResult {
-    let contained = |suite: &Suite| -> AttemptResult {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cell_body(name, suite, fault, attempt)
-        }))
-        .unwrap_or_else(|p| {
-            Err(ContainmentCause::Panic {
-                payload: treegion_par::panic_message(p.as_ref()),
-            })
+    let name = name.to_string();
+    let deadline = deadline_ms.map(Duration::from_millis);
+    treegion_par::contain(suite, deadline, move |suite| {
+        cell_body(&name, suite, fault, attempt)
+    })
+    .unwrap_or_else(|escape| {
+        Err(match escape {
+            Escape::Panic(payload) => ContainmentCause::Panic { payload },
+            Escape::Timeout => ContainmentCause::Deadline {
+                budget_ms: deadline_ms.unwrap_or_default(),
+            },
         })
-    };
-    match deadline_ms {
-        None => contained(suite),
-        Some(budget_ms) => {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let suite = suite.clone();
-            let name = name.to_string();
-            let handle = std::thread::spawn(move || {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    cell_body(&name, &suite, fault, attempt)
-                }))
-                .unwrap_or_else(|p| {
-                    Err(ContainmentCause::Panic {
-                        payload: treegion_par::panic_message(p.as_ref()),
-                    })
-                });
-                let _ = tx.send(out);
-            });
-            match rx.recv_timeout(Duration::from_millis(budget_ms)) {
-                Ok(res) => {
-                    // The send already happened, so this join returns
-                    // immediately; without it every on-time cell would
-                    // leak one finished-but-unreaped thread.
-                    let _ = handle.join();
-                    res
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    // Abandon (detach) the hung thread: joining it would
-                    // wait out the very stall the watchdog contained.
-                    drop(handle);
-                    Err(ContainmentCause::Deadline { budget_ms })
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    let _ = handle.join();
-                    Err(ContainmentCause::Panic {
-                        payload: "cell worker vanished without reporting".to_string(),
-                    })
-                }
-            }
-        }
-    }
+    })
 }
 
 /// Writes a quarantine replay file for an exhausted cell, deduplicated by

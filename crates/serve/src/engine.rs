@@ -10,7 +10,8 @@
 //!    hit returns the stored payload byte-identically.
 //! 3. **Parse/verify** — malformed tir is a `bad-request` error (the
 //!    input is wrong, not crashing; it is not quarantined).
-//! 4. **Contained run** — the pipeline runs under `catch_unwind`, with
+//! 4. **Contained run** — the pipeline runs under
+//!    [`treegion_par::contain`] (the panic envelope), with
 //!    the request's soft deadline threaded into
 //!    [`treegion::Budgets::max_wall_ms`] (checked at scheduler cycle
 //!    boundaries, recovered by the fallback chain) and a hard watchdog
@@ -36,7 +37,7 @@ use treegion::{
 };
 use treegion_eval::{fnv1a, DiskRecovery, FormationCache};
 use treegion_ir::{parse_module, verify_function, Module};
-use treegion_par::StripedSet;
+use treegion_par::{Escape, StripedSet};
 
 /// Shard count used when [`EngineConfig::cache_shards`] is 0.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
@@ -252,7 +253,7 @@ impl Engine {
             }
         }
         // Fan the admitted modules through the worker pool; a panic that
-        // somehow escapes the engine's own catch_unwind is still
+        // somehow escapes the engine's own panic envelope is still
         // contained here.
         let outcomes = treegion_par::par_map_isolated(
             &admitted,
@@ -446,10 +447,10 @@ impl Engine {
         true
     }
 
-    /// Runs the pipeline under containment. Without a deadline the run
-    /// happens in place under `catch_unwind`; with one, on a watchdog
-    /// thread whose hard timeout (2× the soft deadline + margin) is the
-    /// escalation path for stalls outside the scheduler's cycle checks.
+    /// Runs the pipeline under [`treegion_par::contain`]: in place without
+    /// a deadline; with one, on a watchdog thread whose hard timeout (2×
+    /// the soft deadline + margin) is the escalation path for stalls
+    /// outside the scheduler's cycle checks.
     fn run_contained(
         &self,
         opts: &BatchOptions,
@@ -472,78 +473,34 @@ impl Engine {
             panic_on_region: poison.panic_region,
             ..Default::default()
         };
-        let hard = poison.panic_hard;
-        match deadline_ms {
-            None => contained_run(
-                opts,
-                &ropts,
-                module,
-                digest,
-                hard,
-                &self.profiler,
-                &self.stats,
-            ),
-            Some(budget_ms) => {
-                let (tx, rx) = std::sync::mpsc::channel();
-                let module = module.clone();
-                let opts = opts.clone();
-                let profiler = Arc::clone(&self.profiler);
-                let stats = Arc::clone(&self.stats);
-                let handle = std::thread::spawn(move || {
-                    let out =
-                        contained_run(&opts, &ropts, &module, digest, hard, &profiler, &stats);
-                    let _ = tx.send(out);
-                });
-                // Escalation margin: the soft deadline inside the
-                // scheduler should fire first; the watchdog only trips
-                // when a stage outside the cycle checks stalls.
-                let hard = budget_ms.saturating_mul(2).saturating_add(500);
-                match rx.recv_timeout(Duration::from_millis(hard)) {
-                    Ok(res) => {
-                        let _ = handle.join(); // already finished; reap it
-                        res
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        drop(handle); // abandon the stalled thread
-                        Err(ContainmentCause::Deadline { budget_ms })
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                        let _ = handle.join();
-                        Err(ContainmentCause::Panic {
-                            payload: "serve worker vanished without reporting".to_string(),
-                        })
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One pipeline run under `catch_unwind`: a panic anywhere inside
-/// becomes a [`ContainmentCause::Panic`]. A free function (not a method)
-/// so the watchdog path can move `Arc` clones of the profiler and stats
-/// into a `'static` thread.
-fn contained_run(
-    opts: &BatchOptions,
-    ropts: &RobustOptions,
-    module: &Module,
-    digest: u64,
-    panic_hard: bool,
-    profiler: &Profiler,
-    stats: &ServeStats,
-) -> Result<String, ContainmentCause> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // `!panic-hard` fires *outside* the pipeline's own containment:
-        // the deterministic stand-in for a scheduler bug that escapes
-        // the fallback chain, provable end to end.
-        assert!(!panic_hard, "injected serve-layer panic (panic-hard)");
-        schedule_payload(opts, ropts, module, digest, profiler, stats)
-    }))
-    .unwrap_or_else(|p| {
-        Err(ContainmentCause::Panic {
-            payload: treegion_par::panic_message(p.as_ref()),
+        // Escalation margin: the soft deadline inside the scheduler
+        // should fire first; the watchdog only trips when a stage outside
+        // the cycle checks stalls.
+        let hard = deadline_ms.map(|budget_ms| {
+            Duration::from_millis(budget_ms.saturating_mul(2).saturating_add(500))
+        });
+        let opts = opts.clone();
+        let profiler = Arc::clone(&self.profiler);
+        let stats = Arc::clone(&self.stats);
+        treegion_par::contain(module, hard, move |module| {
+            // `!panic-hard` fires *outside* the pipeline's own
+            // containment: the deterministic stand-in for a scheduler bug
+            // that escapes the fallback chain, provable end to end.
+            assert!(
+                !poison.panic_hard,
+                "injected serve-layer panic (panic-hard)"
+            );
+            schedule_payload(&opts, &ropts, module, digest, &profiler, &stats)
         })
-    })
+        .unwrap_or_else(|escape| {
+            Err(match escape {
+                Escape::Panic(payload) => ContainmentCause::Panic { payload },
+                Escape::Timeout => ContainmentCause::Deadline {
+                    budget_ms: deadline_ms.unwrap_or_default(),
+                },
+            })
+        })
+    }
 }
 
 /// Drives the module through [`Pipeline::run_function`] function by

@@ -7,8 +7,8 @@
 //! can never take the service (or its siblings in the batch) down:
 //!
 //! * **Containment** ([`engine`]) — every module runs under
-//!   `catch_unwind` with an optional soft deadline escalated by a hard
-//!   watchdog; a crash becomes a structured error reply.
+//!   [`treegion_par::contain`] with an optional soft deadline escalated
+//!   by a hard watchdog; a crash becomes a structured error reply.
 //! * **Quarantine** — crashing modules are written to a replayable
 //!   ledger (valid tir with a `//`-comment header), FNV-deduplicated,
 //!   and fast-rejected on resubmission — across restarts.

@@ -205,7 +205,7 @@ pub struct Poison {
     /// and recovered *inside* the pipeline's fallback chain).
     pub panic_region: Option<usize>,
     /// `!panic-hard` — panic at the serve layer, outside the pipeline's
-    /// own containment: exercises the per-request `catch_unwind` and
+    /// own containment: exercises the per-request panic envelope and
     /// the quarantine path end to end.
     pub panic_hard: bool,
 }

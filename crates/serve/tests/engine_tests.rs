@@ -25,7 +25,7 @@ fn clean_module(name: &str) -> ModuleRequest {
 }
 
 // A serve-layer panic: escapes the pipeline's own fallback containment,
-// so the per-request `catch_unwind` and quarantine must handle it.
+// so the per-request panic envelope and quarantine must handle it.
 fn poisoned_module(name: &str) -> ModuleRequest {
     let mut m = clean_module(name);
     m.poison.panic_hard = true;

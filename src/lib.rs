@@ -16,7 +16,8 @@
 //! * [`workloads`] — synthetic SPECint95-style benchmark generators.
 //! * [`eval`] — the experiment harness regenerating every table/figure,
 //!   with formation/lowering caches and parallel fan-out.
-//! * [`par`] — the hermetic scoped thread pool behind `--jobs N`.
+//! * [`par`] — the hermetic task runner behind `--jobs N`: ordered maps on
+//!   a worker-budget pool, the panic envelope and the deadline watchdog.
 //!
 //! See README.md for a tour and DESIGN.md for the architecture.
 //!

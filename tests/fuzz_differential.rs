@@ -17,7 +17,6 @@
 //! Case count defaults to 64; override with `FUZZ_CASES=256 cargo test
 //! --test fuzz_differential`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use treegion_suite::prelude::*;
 use treegion_suite::sim::ExecResult;
@@ -117,7 +116,7 @@ fn check_config(
 /// verifier trips, watchdog asserts) are caught and reported as failures
 /// so the shrinker can minimize them too.
 fn run_case(f: &Function) -> Result<(), String> {
-    let res = catch_unwind(AssertUnwindSafe(|| {
+    treegion_par::catch_panic(|| {
         let expected =
             interpret(f, State::new(), FUEL).map_err(|e| format!("interpreter failed: {e}"))?;
         for former in Former::ALL {
@@ -134,27 +133,20 @@ fn run_case(f: &Function) -> Result<(), String> {
                 &expected,
             )?;
             // Treegion shapes also on a finite 64-entry GPR file (the
-            // pressure-aware scheduler and its spill path) and on the
-            // per-class asymmetric machine.
+            // pressure-aware scheduler and its spill path, under both the
+            // paper's best heuristic and the pressure heuristic) and on
+            // the per-class asymmetric machine.
             if matches!(former, Former::Treegion | Former::TreegionTd) {
                 for m in [MachineModel::model_4u_r64(), MachineModel::model_4u_asym()] {
                     check_config(f, former, Heuristic::GlobalWeight, &m, &expected)?;
                 }
+                let r64 = MachineModel::model_4u_r64();
+                check_config(f, former, Heuristic::RegPressure, &r64, &expected)?;
             }
         }
         Ok(())
-    }));
-    match res {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Err(format!("panic: {msg}"))
-        }
-    }
+    })
+    .unwrap_or_else(|msg| Err(format!("panic: {msg}")))
 }
 
 /// Runs `body` with panic messages silenced (the shrinker probes many
